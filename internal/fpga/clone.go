@@ -46,8 +46,7 @@ func (f *FPGA) Clone() *FPGA {
 		// cheaper than deep-copying a slice per net.
 		fanStale:    true,
 		pos:         append([]int32(nil), f.pos...),
-		sched:       append([]uint8(nil), f.sched...),
-		listNext:    append([]int32(nil), f.listNext...),
+		work:        f.work.clone(),
 		staleLL:     append([]int32(nil), f.staleLL...),
 		staleLLMark: append([]bool(nil), f.staleLLMark...),
 		hiddenGen:   f.hiddenGen,

@@ -261,7 +261,7 @@ func (f *FPGA) Compile() *CompiledDesign {
 	// Constants and BRAM dout words sit above the net range, so only real
 	// nets get fanout rows — exactly the ids Settle and Clock can dirty.
 	// Duplicate entries (a LUT tapping the same net twice) are harmless:
-	// scheduling is idempotent through the sched state bytes.
+	// setting a worklist bit twice is idempotent.
 	c.orderLUT = append([]int32(nil), f.order...)
 	c.fanStart = make([]int32, nets+1)
 	for _, li := range c.evalBase {

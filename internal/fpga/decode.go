@@ -433,10 +433,12 @@ func (f *FPGA) rebuildOrder() {
 			}
 		}
 	}
+	oldOrder := f.order
 	f.order = order
 	for p, li := range order {
 		f.pos[li] = int32(p)
 	}
+	f.work.remap(oldOrder, f.pos)
 	f.orderStale = false
 }
 

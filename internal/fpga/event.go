@@ -16,10 +16,10 @@ import (
 // transient. The kernel therefore reproduces the sweep trajectory round for
 // round:
 //
-//   - One worklist round corresponds to one sweep. Within a round, scheduled
-//     LUTs are evaluated in ascending topological-order position (a min-heap
-//     over positions in f.order), exactly the relative order the sweep's
-//     in-place evaluation uses.
+//   - One worklist round corresponds to one sweep. The worklist (worklist.go)
+//     is a pair of bitsets over positions in f.order; a round drains its
+//     current set in ascending position, exactly the relative order the
+//     sweep's in-place evaluation uses.
 //   - When evaluating at position p changes a net, consumers at positions
 //     q > p join the CURRENT round (the sweep would still reach them this
 //     pass) and consumers at q <= p join the NEXT round (the sweep would see
@@ -35,20 +35,14 @@ import (
 //     its first sweep, for exactly those inputs).
 //   - Rounds are bounded by MaxSweeps. A frozen oscillation leaves its
 //     worklist pending, so the next Settle resumes the same trajectory the
-//     sweep kernel would re-enter.
+//     sweep kernel would re-enter. Pending work is keyed by position, so
+//     rebuildOrder re-keys it to the new order.
 //
 // Every mutation path that can invalidate a LUT's inputs outside Settle
 // hooks into scheduleLUT/markLLStale: pin changes, FF updates and SRL truth
 // shifts at the clock edge, BRAM output-register updates, reconfiguration
 // decodes, half-latch flips, stuck-at overlay edits, readback SRL hazards,
 // and Reset.
-
-// sched states of one LUT in the event worklist.
-const (
-	schedNone    = uint8(0) // not scheduled
-	schedCurrent = uint8(1) // in the current round's heap
-	schedPending = uint8(2) // queued for the next round
-)
 
 // SetEventDriven switches the activity-driven kernel on or off. Devices
 // start with it on; disabling falls back to the full-sweep kernel (the
@@ -73,20 +67,14 @@ func (f *FPGA) EventDriven() bool { return f.eventSim }
 // as undetermined, because pending work encodes future behaviour the
 // visible net state alone does not.
 func (f *FPGA) EventBacklog() bool {
-	return f.eventSim && (len(f.listNext) > 0 || len(f.staleLL) > 0)
+	return f.eventSim && (f.work.pending() || len(f.staleLL) > 0)
 }
 
 // scheduleLUT queues LUT li (dense index) for re-evaluation in the next
-// settle round. Safe to call from any mutation hook; outside a Settle the
-// current-round heap is always empty, so everything lands in the pending
-// list.
+// settle round. Safe to call from any mutation hook outside a round.
 func (f *FPGA) scheduleLUT(li int32) {
-	if !f.eventSim {
-		return
-	}
-	if f.sched[li] == schedNone {
-		f.sched[li] = schedPending
-		f.listNext = append(f.listNext, li)
+	if f.eventSim {
+		f.work.schedule(f.pos[li])
 	}
 }
 
@@ -136,12 +124,9 @@ func (f *FPGA) invalidateEvents() {
 	if !f.eventSim {
 		return
 	}
-	f.heapCur = f.heapCur[:0]
-	f.listNext = f.listNext[:0]
 	f.staleLL = f.staleLL[:0]
-	for i := range f.sched {
-		f.sched[i] = schedPending
-		f.listNext = append(f.listNext, int32(i))
+	for _, q := range f.pos {
+		f.work.schedule(q)
 	}
 	for i := range f.staleLLMark {
 		f.staleLLMark[i] = true
@@ -226,25 +211,11 @@ func (f *FPGA) settleEvent() int {
 		f.rebuildFanout()
 	}
 	rounds := 0
-	for rounds < f.MaxSweeps && (len(f.listNext) > 0 || len(f.staleLL) > 0) {
+	for rounds < f.MaxSweeps && (f.work.pending() || len(f.staleLL) > 0) {
 		rounds++
-		// Promote pending work into the current round's position heap.
-		h := f.heapCur[:0]
-		for _, li := range f.listNext {
-			f.sched[li] = schedCurrent
-			h = heapPushPos(h, f.pos[li])
-		}
-		f.heapCur = h
-		f.listNext = f.listNext[:0]
-		for len(f.heapCur) > 0 {
-			var p int32
-			f.heapCur, p = heapPopPos(f.heapCur)
-			li := f.order[p]
-			if f.sched[li] != schedCurrent {
-				continue
-			}
-			f.sched[li] = schedNone
-			f.evalOne(li, p)
+		f.work.promote()
+		for p := f.work.pop(); p >= 0; p = f.work.pop() {
+			f.evalOne(f.order[p], p)
 		}
 		// Long lines whose inputs changed outside Settle refresh once,
 		// mirroring the sweep kernel's end-of-sweep refresh: changes become
@@ -295,56 +266,6 @@ func (f *FPGA) evalOne(li, p int32) {
 // change next round.
 func (f *FPGA) propagate(id int, p int32) {
 	for _, li := range f.fanout[id] {
-		if f.sched[li] != schedNone {
-			continue
-		}
-		if q := f.pos[li]; q > p {
-			f.sched[li] = schedCurrent
-			f.heapCur = heapPushPos(f.heapCur, q)
-		} else {
-			f.sched[li] = schedPending
-			f.listNext = append(f.listNext, li)
-		}
+		f.work.touch(f.pos[li], p)
 	}
-}
-
-// heapPushPos / heapPopPos implement a plain binary min-heap over order
-// positions, allocation-free across rounds (the backing array is reused).
-
-func heapPushPos(h []int32, p int32) []int32 {
-	h = append(h, p)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-	return h
-}
-
-func heapPopPos(h []int32) ([]int32, int32) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= len(h) {
-			break
-		}
-		m := l
-		if r < len(h) && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return h, top
 }

@@ -57,25 +57,9 @@ func TestEventKernelMatchesSweepKernel(t *testing.T) {
 
 	run := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := bitstream.NewMemory(g)
-		// Dense-ish random configuration: enough set bits that LUTs,
-		// routing, long-line drivers, FFs, and BRAM ports all come alive.
-		for i := int64(0); i < total/6; i++ {
-			m.Set(device.BitAddr(rng.Int63n(total)), true)
-		}
-		bs := bitstream.Full(m)
-
-		ev := New(g)
-		sw := New(g)
-		sw.SetEventDriven(false)
+		ev, sw := randomEventPair(t, g, rng)
 		if !ev.EventDriven() || sw.EventDriven() {
 			t.Fatal("kernel selection not honoured")
-		}
-		if err := ev.FullConfigure(bs); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.FullConfigure(bs); err != nil {
-			t.Fatal(err)
 		}
 		sameVisibleState(t, ev, sw, "after configure")
 
@@ -279,5 +263,149 @@ func TestHistoryCoupled(t *testing.T) {
 	srl.RouteInput(2, 0, 0, 3, 4)
 	if !configure(t, srl).HistoryCoupled() {
 		t.Fatal("SRL16 design must be history-coupled")
+	}
+}
+
+// randomMemory returns a dense-ish random configuration: enough set bits
+// that LUTs, routing, long-line drivers, FFs, and BRAM ports all come alive.
+func randomMemory(g device.Geometry, rng *rand.Rand) *bitstream.Memory {
+	m := bitstream.NewMemory(g)
+	total := g.TotalBits()
+	for i := int64(0); i < total/6; i++ {
+		m.Set(device.BitAddr(rng.Int63n(total)), true)
+	}
+	return m
+}
+
+// randomEventPair configures an event-driven device and a sweep-kernel twin
+// with the same random (largely garbage) bitstream.
+func randomEventPair(t testing.TB, g device.Geometry, rng *rand.Rand) (ev, sw *FPGA) {
+	bs := bitstream.Full(randomMemory(g, rng))
+	ev = New(g)
+	sw = New(g)
+	sw.SetEventDriven(false)
+	if err := ev.FullConfigure(bs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.FullConfigure(bs); err != nil {
+		t.Fatal(err)
+	}
+	return ev, sw
+}
+
+// TestEventRebuildOrderRekeysPending reconfigures CLB frames so the
+// topological order changes while the event kernel holds pending work, then
+// rebuilds the order before settling. The worklist is keyed by position, so
+// the pending work must follow its LUTs to their new positions; the sweep
+// twin has no worklist and re-derives everything.
+func TestEventRebuildOrderRekeysPending(t *testing.T) {
+	g := device.Tiny()
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ev, sw := randomEventPair(t, g, rng)
+		reordered := false
+		for step := 0; step < 8; step++ {
+			// Rewrite one CLB column from a fresh random memory.
+			m := randomMemory(g, rng)
+			col := rng.Intn(g.Cols)
+			var frames []int
+			for k := 0; k < device.FramesPerCLBCol; k++ {
+				frames = append(frames, col*device.FramesPerCLBCol+k)
+			}
+			for _, f := range []*FPGA{ev, sw} {
+				if err := f.PartialConfigure(bitstream.Partial(m, frames)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !ev.work.pending() {
+				t.Fatalf("seed %d step %d: reconfiguration left no pending work", seed, step)
+			}
+			before := append([]int32(nil), ev.order...)
+			ev.RebuildOrder()
+			sw.RebuildOrder()
+			for i := range before {
+				if before[i] != ev.order[i] {
+					reordered = true
+					break
+				}
+			}
+			ev.Settle()
+			sw.Settle()
+			if !StateEqual(ev, sw) {
+				t.Fatalf("seed %d step %d: event kernel diverged after re-keyed settle", seed, step)
+			}
+			for p := 0; p < g.Pins(); p++ {
+				v := rng.Intn(2) == 1
+				ev.SetPin(p, v)
+				sw.SetPin(p, v)
+			}
+			ev.Step()
+			sw.Step()
+			if !StateEqual(ev, sw) {
+				t.Fatalf("seed %d step %d: event kernel diverged after step", seed, step)
+			}
+		}
+		if !reordered {
+			t.Fatalf("seed %d: reconfiguration never changed the order", seed)
+		}
+	}
+}
+
+// TestCloneResumesFrozenBacklog clones a device frozen at the MaxSweeps
+// bound with work still pending: the clone must carry the worklist, so
+// clone and original resume the identical trajectory.
+func TestCloneResumesFrozenBacklog(t *testing.T) {
+	g := device.Tiny()
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ev, sw := randomEventPair(t, g, rng)
+		ev.MaxSweeps, sw.MaxSweeps = 2, 2
+		ev.Step()
+		sw.Step()
+		if !ev.EventBacklog() {
+			continue
+		}
+		c := ev.Clone()
+		if !c.EventBacklog() {
+			t.Fatal("clone lost the frozen backlog")
+		}
+		for step := 0; step < 20; step++ {
+			for p := 0; p < g.Pins(); p++ {
+				v := rng.Intn(2) == 1
+				ev.SetPin(p, v)
+				c.SetPin(p, v)
+				sw.SetPin(p, v)
+			}
+			ev.Step()
+			c.Step()
+			sw.Step()
+			if !StateEqual(ev, c) {
+				t.Fatalf("seed %d step %d: clone diverged from its original", seed, step)
+			}
+			sameVisibleState(t, ev, sw, "frozen backlog resume")
+		}
+		return
+	}
+	t.Fatal("no seed froze an oscillation at MaxSweeps 2")
+}
+
+// TestEventSettleAllocs is the allocation audit of the scalar event kernel:
+// after warm-up, a stimulus change plus Step must not allocate — the
+// worklist bitsets and stale list are reused across settles.
+func TestEventSettleAllocs(t *testing.T) {
+	g := device.Tiny()
+	rng := rand.New(rand.NewSource(42))
+	ev, _ := randomEventPair(t, g, rng)
+	step := func() {
+		for p := 0; p < g.Pins(); p++ {
+			ev.SetPin(p, rng.Intn(2) == 1)
+		}
+		ev.Step()
+	}
+	for i := 0; i < 10; i++ {
+		step() // warm scratch capacities
+	}
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Fatalf("event settle allocated %.1f times per Step; want 0", allocs)
 	}
 }

@@ -141,16 +141,14 @@ type FPGA struct {
 	bramInterference []bool
 
 	// Event-kernel state (see event.go). fanout maps dense net IDs to the
-	// LUTs reading them; sched/heapCur/listNext hold the dirty-LUT worklist;
-	// staleLL the long lines needing an out-of-Settle refresh; pos each
-	// LUT's position in order; llByBRAM a BRAM block's driven lines.
+	// LUTs reading them; work is the dirty-LUT worklist, keyed by position
+	// (pos, each LUT's position in order); staleLL the long lines needing an
+	// out-of-Settle refresh; llByBRAM a BRAM block's driven lines.
 	eventSim    bool
 	fanout      [][]int32
 	fanStale    bool
 	pos         []int32
-	sched       []uint8
-	heapCur     []int32
-	listNext    []int32
+	work        worklist
 	staleLL     []int32
 	staleLLMark []bool
 	llByBRAM    [][]int32
@@ -207,8 +205,16 @@ func New(g device.Geometry) *FPGA {
 		eventSim:  true,
 		fanStale:  true,
 	}
-	f.pos = make([]int32, g.CLBs()*device.LUTsPerCLB)
-	f.sched = make([]uint8, g.CLBs()*device.LUTsPerCLB)
+	// Identity order until the first configuration, so pos and order are
+	// always inverse permutations and pending work can be re-keyed.
+	luts := g.CLBs() * device.LUTsPerCLB
+	f.order = make([]int32, luts)
+	f.pos = make([]int32, luts)
+	for i := range f.order {
+		f.order[i] = int32(i)
+		f.pos[i] = int32(i)
+	}
+	f.work = newWorklist(luts)
 	f.staleLLMark = make([]bool, device.LongLinesPerRow*g.Rows+device.LongLinesPerCol*g.Cols)
 	f.bramMem = make([][]uint16, g.BRAMBlocks())
 	for i := range f.bramMem {

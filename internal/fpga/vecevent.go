@@ -15,10 +15,10 @@ import (
 // itself exact against the scalar kernel per lane):
 //
 //   - One worklist round corresponds to one sweep. Scheduled LUTs evaluate
-//     in ascending position (min-heap over c.lutPos, shared helpers with
-//     event.go); a change at position p reaches consumers at q > p in the
-//     current round and consumers at q <= p in the next — exactly the
-//     sweep's in-place evaluation order.
+//     in ascending position (the bitset worklist of worklist.go over
+//     c.lutPos, shared with event.go); a change at position p reaches
+//     consumers at q > p in the current round and consumers at q <= p in
+//     the next — exactly the sweep's in-place evaluation order.
 //   - The drained set is a SUPERSET of the changed set in every lane:
 //     word-granularity dirtiness schedules a LUT when any lane's input
 //     moved, and fanout subscription is the golden fanout CSR plus the
@@ -93,44 +93,21 @@ func (v *Vector) TakeKernelStats() (rounds, drains int64) {
 }
 
 // scheduleLUTVec queues LUT li for the next settle round. Safe from any
-// mutation hook: outside settleEventVec the current-round heap is empty, so
-// everything lands in the pending list.
+// mutation hook outside a round.
 func (v *Vector) scheduleLUTVec(li int32) {
-	if v.sched[li] == schedNone {
-		v.sched[li] = schedPending
-		v.listNext = append(v.listNext, li)
-	}
-}
-
-// touchLUTVec schedules li from inside a round at position p: consumers
-// ahead of p join the current round, consumers at or behind p the next —
-// the vector copy of event.go's propagate ordering rule. In a dense round
-// the ascending position walk finds schedCurrent marks by itself, so no
-// heap entry is needed.
-func (v *Vector) touchLUTVec(li, p int32) {
-	if v.sched[li] != schedNone {
-		return
-	}
-	if q := v.c.lutPos[li]; q > p {
-		v.sched[li] = schedCurrent
-		if !v.denseRound {
-			v.heapCur = heapPushPos(v.heapCur, q)
-		}
-	} else {
-		v.sched[li] = schedPending
-		v.listNext = append(v.listNext, li)
-	}
+	v.work.schedule(v.c.lutPos[li])
 }
 
 // propagateVec schedules the consumers of just-changed net id from inside a
-// round: the golden fanout CSR plus the per-batch overlay subscriptions.
+// round at position p: the golden fanout CSR plus the per-batch overlay
+// subscriptions, with event.go's ordering rule.
 func (v *Vector) propagateVec(id, p int32) {
 	c := v.c
 	for _, li := range c.fanLUT[c.fanStart[id]:c.fanStart[id+1]] {
-		v.touchLUTVec(li, p)
+		v.work.touch(c.lutPos[li], p)
 	}
 	for _, li := range v.fanAdd[id] {
-		v.touchLUTVec(li, p)
+		v.work.touch(c.lutPos[li], p)
 	}
 }
 
@@ -256,11 +233,7 @@ func (v *Vector) invalidateAllVec() {
 // snapshot need not be a fixpoint); switching to the sweep kernel uses it
 // alone, since the sweep loop re-derives everything each Settle.
 func (v *Vector) clearEventWork() {
-	for _, li := range v.listNext {
-		v.sched[li] = schedNone
-	}
-	v.listNext = v.listNext[:0]
-	v.heapCur = v.heapCur[:0]
+	v.work.clear()
 	for _, ll := range v.staleLL {
 		v.staleLLMark[ll] = false
 	}
@@ -274,8 +247,7 @@ func (v *Vector) clearEventWork() {
 
 // evalScheduledVec evaluates scheduled LUT li at position p — the body is
 // the sweep loop's evaluation with event propagation hooked onto changes —
-// and returns the lanes whose state moved. Shared by the heap and dense
-// round walks in settleEventVec.
+// and returns the lanes whose state moved.
 func (v *Vector) evalScheduledVec(li, p int32) uint64 {
 	c := v.c
 	st := v.state
@@ -316,21 +288,13 @@ func (v *Vector) evalScheduledVec(li, p int32) uint64 {
 	return changed
 }
 
-// denseRoundFactor picks between the two round walks: with k scheduled LUTs
-// the heap spends O(k log k) push/pop traffic, a dense walk spends one
-// sched-byte probe per topological position. The byte probe is ~an order of
-// magnitude cheaper than a heap operation, so the walk wins once k exceeds
-// about 1/16 of the position space — which after every Clock of 64
-// independently-stimulated lanes it essentially always does.
-const denseRoundFactor = 16
-
 // settleEventVec drains the dirty worklist to a lane-wise fixpoint — the
 // event-driven counterpart of the sweep loop, round-for-round identical to
 // it in every lane (see the package comment above for the argument). All
-// scratch (heap, pending list, stale list) lives on the Vector and is
-// reused across batches; the drain allocates nothing.
+// scratch (worklist bitsets, stale list) lives on the Vector and is reused
+// across batches; the drain allocates nothing.
 func (v *Vector) settleEventVec() {
-	if len(v.listNext) == 0 && len(v.staleLL) == 0 {
+	if !v.work.pending() && len(v.staleLL) == 0 {
 		// Converged and nothing moved since: every lane is at its
 		// fixpoint, so no lane can be hiding frozen work.
 		v.frozenLanes = 0
@@ -338,54 +302,14 @@ func (v *Vector) settleEventVec() {
 	}
 	v.statDrains++
 	c := v.c
-	positions := int32(len(c.orderLUT))
 	rounds := 0
 	var roundChanged uint64
-	for rounds < v.MaxSweeps && (len(v.listNext) > 0 || len(v.staleLL) > 0) {
+	for rounds < v.MaxSweeps && (v.work.pending() || len(v.staleLL) > 0) {
 		rounds++
 		roundChanged = 0
-		if len(v.listNext)*denseRoundFactor >= len(c.orderLUT) {
-			// Dense round: mark every promoted LUT schedCurrent and walk
-			// positions in ascending order probing the sched byte. Same
-			// scheduled set, same ascending evaluation order as the heap
-			// walk — in-round touches (q > p) are found by the walk itself.
-			v.denseRound = true
-			minP := positions
-			for _, li := range v.listNext {
-				v.sched[li] = schedCurrent
-				if q := c.lutPos[li]; q < minP {
-					minP = q
-				}
-			}
-			v.listNext = v.listNext[:0]
-			for p := minP; p < positions; p++ {
-				li := c.orderLUT[p]
-				if v.sched[li] != schedCurrent {
-					continue
-				}
-				v.sched[li] = schedNone
-				roundChanged |= v.evalScheduledVec(li, p)
-			}
-			v.denseRound = false
-		} else {
-			// Sparse round: promote pending work into the position heap.
-			h := v.heapCur[:0]
-			for _, li := range v.listNext {
-				v.sched[li] = schedCurrent
-				h = heapPushPos(h, c.lutPos[li])
-			}
-			v.heapCur = h
-			v.listNext = v.listNext[:0]
-			for len(v.heapCur) > 0 {
-				var p int32
-				v.heapCur, p = heapPopPos(v.heapCur)
-				li := c.orderLUT[p]
-				if v.sched[li] != schedCurrent {
-					continue
-				}
-				v.sched[li] = schedNone
-				roundChanged |= v.evalScheduledVec(li, p)
-			}
+		v.work.promote()
+		for p := v.work.pop(); p >= 0; p = v.work.pop() {
+			roundChanged |= v.evalScheduledVec(c.orderLUT[p], p)
 		}
 		// Long lines whose inputs changed outside the in-round edges refresh
 		// once at end of round, becoming visible next round — the event image

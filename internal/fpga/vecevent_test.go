@@ -115,9 +115,10 @@ func TestEventVectorFreezeParity(t *testing.T) {
 }
 
 // TestEventVectorSettleAllocs is the allocation audit of the hot drain loop:
-// after warm-up (worklist, heap, and stale-list capacities grown), a full
-// stimulus-change + Step cycle must not allocate at all — the drain reuses
-// every scratch structure across batches.
+// after warm-up (stale-list and overlay-subscription capacities grown; the
+// worklist bitsets are sized up front), a full stimulus-change + Step cycle
+// must not allocate at all — the drain reuses every scratch structure across
+// batches.
 func TestEventVectorSettleAllocs(t *testing.T) {
 	ev, _, _, g, rng := eventSweepPair(t, 42, 64)
 	step := func() {

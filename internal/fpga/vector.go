@@ -278,18 +278,15 @@ type Vector struct {
 	llAddByOut   [][]int32
 	llAddTouched []int32
 
-	// Event-driven drain state (vecevent.go). sched/heapCur/listNext/
-	// staleLL mirror the scalar event kernel at lane-word granularity;
-	// fanAdd holds per-batch fanout subscriptions for overlay-patched
-	// inputs; active freezes retired lanes through Clock; frozenLanes is
-	// the per-lane MaxSweeps-freeze gate consulted by board.LockedWord.
+	// Event-driven drain state (vecevent.go). work and staleLL mirror the
+	// scalar event kernel at lane-word granularity; fanAdd holds per-batch
+	// fanout subscriptions for overlay-patched inputs; active freezes
+	// retired lanes through Clock; frozenLanes is the per-lane
+	// MaxSweeps-freeze gate consulted by board.LockedWord.
 	eventDriven   bool
-	denseRound    bool
 	active        uint64
 	frozenLanes   uint64
-	sched         []uint8
-	heapCur       []int32
-	listNext      []int32
+	work          worklist
 	staleLL       []int32
 	staleLLMark   []bool
 	llPendW       []uint64
@@ -318,7 +315,7 @@ func NewVector(c *CompiledDesign) *Vector {
 		dinvXor:     make([]uint64, len(c.ceID)),
 		llOver:      make([][]llLanePatch, c.lls),
 		llAddByOut:  make([][]int32, len(c.byOutStart)-1),
-		sched:       make([]uint8, len(c.truth)),
+		work:        newWorklist(len(c.orderLUT)),
 		staleLLMark: make([]bool, c.lls),
 		llPendW:     make([]uint64, c.lls),
 		fanAdd:      make([][]int32, c.nets),
