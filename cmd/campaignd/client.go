@@ -181,7 +181,7 @@ func runSubmit(args []string) error {
 	fs := flag.NewFlagSet("campaignd submit", flag.ExitOnError)
 	server := serverFlag(fs)
 	specFile := fs.String("spec", "", "submit this JobSpec JSON file instead of building one from flags (- for stdin)")
-	cf := core.RegisterCampaignFlags(fs, core.CampaignSpec{Geom: "small", Seed: 1, Sample: 0.01, Workers: 1})
+	cs := core.RegisterCampaignFlags(fs, core.CampaignSpec{Geom: "small", Seed: 1, Sample: 0.01, Workers: 1})
 	wait := fs.Bool("wait", false, "follow the job and exit when it is terminal")
 	fs.Parse(args)
 
@@ -201,10 +201,10 @@ func runSubmit(args []string) error {
 			return fmt.Errorf("parsing %s: %w", *specFile, err)
 		}
 	} else {
-		if cf.Spec.Design == "" {
+		if cs.Design == "" {
 			return fmt.Errorf("either -design or -spec is required")
 		}
-		seuSpec := cf.ResolveSpec()
+		seuSpec := *cs
 		spec = campaign.JobSpec{Kind: campaign.KindSEU, SEU: &seuSpec}
 	}
 	if err := spec.Validate(); err != nil {

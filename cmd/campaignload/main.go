@@ -32,7 +32,7 @@ func main() {
 		timeout  = fs.Duration("timeout", 10*time.Second, "per-request timeout")
 		maxErr   = fs.Float64("max-error-rate", 0.01, "exit non-zero above this error rate")
 	)
-	cf := core.RegisterCampaignFlags(fs, core.CampaignSpec{Geom: "small", Seed: 1, Sample: 0.01, Workers: 1})
+	cs := core.RegisterCampaignFlags(fs, core.CampaignSpec{Geom: "small", Seed: 1, Sample: 0.01, Workers: 1})
 	fs.Parse(os.Args[1:])
 
 	opt := fabric.LoadTestOptions{
@@ -41,8 +41,8 @@ func main() {
 		Requests: *requests,
 		Timeout:  *timeout,
 	}
-	if cf.Spec.Design != "" {
-		seuSpec := cf.ResolveSpec()
+	if cs.Design != "" {
+		seuSpec := *cs
 		body, err := json.Marshal(campaign.JobSpec{Kind: campaign.KindSEU, SEU: &seuSpec})
 		if err != nil {
 			fatal(err)

@@ -1,7 +1,7 @@
-// Command fig8bench times the Fig. 8 injection loop across the kernel and
-// scheduling variants (fastsim on/off, triage on/off, sequential/sharded,
-// scalar vs 64-lane vector kernel, event-drain vs full-sweep lane settling)
-// and emits a machine-readable JSON report. CI commits the result as
+// Command fig8bench times the Fig. 8 injection loop on the reference oracle
+// (the scalar sweep kernel, triage and fast-sim off) and on the production
+// 64-lane vector kernel (triage off/on, sequential/sharded), and emits a
+// machine-readable JSON report. CI commits the result as
 // BENCH_PR8.json (BENCH_PR3.json preserves the scalar-era baseline,
 // BENCH_PR6.json the pre-amortization vector era, BENCH_PR7.json the
 // sweep-settling vector era) so kernel speedups are tracked in-repo, next
@@ -67,14 +67,6 @@ type benchReport struct {
 	// fastest repetition.
 	Reps     int             `json:"reps"`
 	Variants []variantResult `json:"variants"`
-	// SpeedupFastSim is the wall-time ratio of the sequential fastsim-off
-	// run over the sequential fastsim-on run — the headline number for the
-	// event kernel plus convergence early exit.
-	SpeedupFastSim float64 `json:"speedup_fastsim_x"`
-	// SpeedupVector is the wall-time ratio of the best sequential scalar
-	// point (workers-1: triage + fastsim, the PR 3 headline) over the
-	// sequential vector-kernel run of the identical campaign.
-	SpeedupVector float64 `json:"speedup_vector_x"`
 	// PR3BestNsPerInjection is the committed PR 3 baseline for the same
 	// workload (BENCH_PR3.json, "workers-1"), kept here so the vector
 	// kernel's improvement over the scalar era is visible in one file.
@@ -115,18 +107,15 @@ func main() {
 	}
 	nproc := runtime.GOMAXPROCS(0)
 	variants := []variant{
-		{"workers-1-fastsim-off-triage-off", 1, false, false, seu.KernelAuto},
-		{"workers-1-fastsim-off", 1, true, false, seu.KernelAuto},
-		{"workers-1-triage-off", 1, false, true, seu.KernelAuto},
-		{"workers-1", 1, true, true, seu.KernelAuto},
+		// The oracle keeps the name under which earlier reports (scalar
+		// full-sweep kernel, everything off) recorded it, so -baseline
+		// still compares it.
+		{"workers-1-fastsim-off-triage-off", 1, false, false, seu.KernelSweep},
 		{"workers-1-vector-triage-off", 1, false, true, seu.KernelVector},
 		{"workers-1-vector", 1, true, true, seu.KernelVector},
-		{"workers-1-vector-sweep", 1, true, true, seu.KernelVectorSweep},
 	}
 	if nproc > 1 {
 		variants = append(variants,
-			variant{fmt.Sprintf("workers-%d-fastsim-off", nproc), nproc, true, false, seu.KernelAuto},
-			variant{fmt.Sprintf("workers-%d", nproc), nproc, true, true, seu.KernelAuto},
 			variant{fmt.Sprintf("workers-%d-vector", nproc), nproc, true, true, seu.KernelVector})
 	}
 
@@ -144,7 +133,6 @@ func main() {
 	defer stop()
 
 	var refInjections, refFailures int64 = -1, -1
-	var offWall, onWall, vecWall float64
 	if *reps < 1 {
 		*reps = 1
 	}
@@ -209,29 +197,8 @@ func main() {
 			EarlyExitPct:    100 * float64(r.CyclesSkipped) / float64(max64(1, total)),
 		}
 		rep.Variants = append(rep.Variants, res)
-		if v.workers == 1 && v.triage {
-			switch v.kernel {
-			case seu.KernelVector:
-				vecWall = res.WallSeconds
-			case seu.KernelVectorSweep:
-				// Tracked per-variant by the regression gate; not part of a
-				// headline ratio (the event drain is the vector figurehead).
-			default:
-				if v.fastsim {
-					onWall = res.WallSeconds
-				} else {
-					offWall = res.WallSeconds
-				}
-			}
-		}
 		fmt.Fprintf(os.Stderr, "%-34s %8d inj  %8.3fs  %10.0f ns/inj  early-exit %5.1f%%\n",
 			v.name, res.Injections, res.WallSeconds, res.NsPerInjection, res.EarlyExitPct)
-	}
-	if onWall > 0 {
-		rep.SpeedupFastSim = offWall / onWall
-	}
-	if vecWall > 0 {
-		rep.SpeedupVector = onWall / vecWall
 	}
 	rep.PR3BestNsPerInjection = pr3BestNsPerInjection
 

@@ -25,7 +25,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	cf := core.RegisterCampaignFlags(flag.CommandLine, core.CampaignSpec{
+	cs := core.RegisterCampaignFlags(flag.CommandLine, core.CampaignSpec{
 		Design: "LFSR 18", Geom: "tiny", Seed: 1, Sample: 1,
 	})
 	flag.Parse()
@@ -55,17 +55,17 @@ func main() {
 			}
 		}()
 	}
-	cfg, err := cf.Resolve()
+	cfg, err := cs.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "raddrc:", err)
 		os.Exit(2)
 	}
-	rep, err := core.HalfLatchStudy(cfg, cf.Spec.Design, *obs)
+	rep, err := core.HalfLatchStudy(cfg, cs.Design, *obs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "raddrc:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("design %q on %s\n", cf.Spec.Design, cfg.Geom)
+	fmt.Printf("design %q on %s\n", cs.Design, cfg.Geom)
 	fmt.Printf("  %s\n", rep.Census)
 	fmt.Printf("  RadDRC mitigated %d half-latch constants\n", rep.Mitigated)
 	fmt.Printf("  half-latch beam: %d output errors before, %d after\n", rep.ErrorsBefore, rep.ErrorsAfter)

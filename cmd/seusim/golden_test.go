@@ -10,13 +10,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/seu"
 )
 
 // Golden-report corpus: canonical -json outputs for the paper-table catalog
 // designs, pinned under testdata/. The campaign pipeline promises its
 // reports are a pure function of (geometry, design, seed, sample, maxbits) —
-// independent of worker count, triage, fastsim, and kernel choice — so these
-// files only legitimately change when the simulator's semantics change.
+// independent of worker count and of production path vs oracle — so these
+// files only legitimately change when the simulator's semantics change. The
+// triage_skipped and cycles_* fields are diagnostics of the production path
+// that produced them.
 // Regenerate with:
 //
 //	go test ./cmd/seusim -run Golden -update
@@ -87,6 +90,57 @@ func TestGoldenDesignReports(t *testing.T) {
 		file := "design-" + sanitize(name) + ".json"
 		checkGolden(t, file, marshalGolden(t, core.NewCampaignReport(rep, cfg)))
 	}
+}
+
+// diagnostics are the report fields that describe how the production path
+// got its result rather than the result itself.
+var diagnostics = []string{"triage_skipped", "cycles_simulated", "cycles_skipped"}
+
+// TestGoldenDesignReportsMatchOracle reruns each golden design campaign on
+// the reference oracle — the scalar sweep kernel, triage and fast-sim off —
+// and requires every result field to equal the golden file, so the corpus
+// pins results the oracle vouches for, not just what the production path
+// happened to emit.
+func TestGoldenDesignReportsMatchOracle(t *testing.T) {
+	cfg := goldenCfg()
+	cfg.Kernel, cfg.NoTriage, cfg.NoFastSim = seu.KernelSweep, true, true
+	for _, name := range []string{"LFSR 72", "MULT 12"} {
+		rep, err := core.Sensitivity(cfg, name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.TriageSkipped != 0 || rep.CyclesSkipped != 0 {
+			t.Fatalf("%s: oracle used a fast path (triage skipped %d, cycles skipped %d)", name, rep.TriageSkipped, rep.CyclesSkipped)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", "design-"+sanitize(name)+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resultFields(t, marshalGolden(t, core.NewCampaignReport(rep, cfg)))
+		for k, w := range resultFields(t, want) {
+			if g, ok := got[k]; !ok || !bytes.Equal(g, w) {
+				t.Errorf("%s: oracle %s = %s, golden %s", name, k, g, w)
+			}
+			delete(got, k)
+		}
+		for k := range got {
+			t.Errorf("%s: oracle report field %s missing from the golden file", name, k)
+		}
+	}
+}
+
+// resultFields decodes a campaign report into its top-level fields, minus
+// the diagnostics.
+func resultFields(t *testing.T, b []byte) map[string]json.RawMessage {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range diagnostics {
+		delete(m, k)
+	}
+	return m
 }
 
 // TestJSONByteIdentical is the reproducibility acceptance check: the same

@@ -37,13 +37,13 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	cf := core.RegisterCampaignFlags(flag.CommandLine, core.CampaignSpec{
+	cs := core.RegisterCampaignFlags(flag.CommandLine, core.CampaignSpec{
 		Geom: "small", Seed: 1, Sample: 0.05,
 	})
 	flag.Parse()
-	cfg, err := cf.Resolve()
+	cfg, err := cs.Resolve()
 	check(err)
-	design := &cf.Spec.Design
+	design := &cs.Design
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

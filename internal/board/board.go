@@ -52,9 +52,9 @@ type SLAAC1V struct {
 }
 
 // SetFastSim switches both devices between the activity-driven settling
-// kernel and the full-sweep kernel (the -fastsim escape hatch). Both
-// devices always run the same kernel so their sweep-bounded trajectories
-// stay comparable.
+// kernel and the full-sweep kernel (the reference oracle). Both devices
+// always run the same kernel so their sweep-bounded trajectories stay
+// comparable.
 func (b *SLAAC1V) SetFastSim(on bool) {
 	b.Golden.SetEventDriven(on)
 	b.DUT.SetEventDriven(on)

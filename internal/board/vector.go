@@ -116,13 +116,6 @@ func (vb *VectorBoard) RefillLanes(mask uint64, seeds []int64) {
 	vb.DUT.SetActiveMask(vb.active)
 }
 
-// SetEventDriven switches both lane machines between the event-driven
-// drain and the full-sweep settling loop.
-func (vb *VectorBoard) SetEventDriven(on bool) {
-	vb.Golden.SetEventDriven(on)
-	vb.DUT.SetEventDriven(on)
-}
-
 // TakeKernelStats returns and zeroes both lane machines' settle counters.
 func (vb *VectorBoard) TakeKernelStats() (rounds, drains int64) {
 	gr, gd := vb.Golden.TakeKernelStats()

@@ -325,6 +325,9 @@ func TestSpecValidation(t *testing.T) {
 		{"bad geometry", JobSpec{Kind: KindBIST, BIST: &BISTSpec{Geom: "huge", Wire: true}}},
 		{"bad duration", JobSpec{Kind: KindMission, Mission: &MissionSpec{Design: "LFSR 18", Duration: "soon"}}},
 		{"no design", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Sample: 1}}},
+		{"retired kernel auto", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: 1, Kernel: "auto"}}},
+		{"retired kernel event", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: 1, Kernel: "event"}}},
+		{"retired kernel vector-sweep", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: 1, Kernel: "vector-sweep"}}},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {

@@ -44,13 +44,13 @@ type Config struct {
 	// campaigns use to skip provably-inert configuration bits. The zero
 	// value keeps triage on; reports are byte-identical either way.
 	NoTriage bool
-	// NoFastSim disables the activity-driven settling kernel and the
-	// lock-step convergence early exit. The zero value keeps both on;
-	// reports are byte-identical either way.
+	// NoFastSim disables the lock-step convergence early exit and, in the
+	// half-latch beam study, the activity-driven settling kernel. The zero
+	// value keeps both on; reports are byte-identical either way.
 	NoFastSim bool
-	// Kernel overrides the settling kernel independently of NoFastSim
-	// (seu.KernelAuto, the zero value, follows it). Reports are
-	// byte-identical at any choice.
+	// Kernel selects the production vector path (seu.KernelVector, the
+	// zero value) or the scalar sweep oracle (seu.KernelSweep). Reports
+	// are byte-identical at either.
 	Kernel seu.Kernel
 }
 

@@ -2,44 +2,18 @@ package core
 
 import "flag"
 
-// CampaignFlags is a CampaignSpec under construction by a flag set. The
-// CLIs expose triage and fastsim as positive flags while the spec (like
-// Config) stores the negated zero-is-on form, so the two booleans here
-// bridge the polarity at Resolve time.
-type CampaignFlags struct {
-	Spec    CampaignSpec
-	Triage  bool
-	FastSim bool
-}
-
 // RegisterCampaignFlags registers the experiment-scale flags shared by
 // seusim, raddrc, and campaignd job submission — -design, -geom, -seed,
-// -sample, -maxbits, -workers, -triage, -fastsim, -kernel — on fs, seeded
-// from def, and returns the destination the parsed values land in.
-func RegisterCampaignFlags(fs *flag.FlagSet, def CampaignSpec) *CampaignFlags {
-	cf := &CampaignFlags{Spec: def, Triage: !def.NoTriage, FastSim: !def.NoFastSim}
-	fs.StringVar(&cf.Spec.Design, "design", def.Design, "catalogued design")
-	fs.StringVar(&cf.Spec.Geom, "geom", def.Geom, "device geometry: tiny|small|xqvr1000")
-	fs.Int64Var(&cf.Spec.Seed, "seed", def.Seed, "random seed")
-	fs.Float64Var(&cf.Spec.Sample, "sample", def.Sample, "fraction of configuration bits to inject (1 = exhaustive)")
-	fs.Int64Var(&cf.Spec.MaxBits, "maxbits", def.MaxBits, "cap injections per design at the first N selected bits (0 = no cap)")
-	fs.IntVar(&cf.Spec.Workers, "workers", def.Workers, "parallel injection workers, each on a cloned board replica; results are identical at any count (0 = GOMAXPROCS)")
-	fs.BoolVar(&cf.Triage, "triage", !def.NoTriage, "skip provably-inert configuration bits via static cone-of-influence analysis; reports are byte-identical either way")
-	fs.BoolVar(&cf.FastSim, "fastsim", !def.NoFastSim, "use the activity-driven settling kernel and lock-step convergence early exit; reports are byte-identical either way")
-	fs.StringVar(&cf.Spec.Kernel, "kernel", def.Kernel, "settling kernel: auto (follow -fastsim), event, sweep, or vector (64 fault universes per pass); reports are byte-identical at any choice")
-	return cf
-}
-
-// Resolve folds the positive flag spellings back into the spec and returns
-// the Config it denotes.
-func (cf *CampaignFlags) Resolve() (Config, error) {
-	return cf.ResolveSpec().Resolve()
-}
-
-// ResolveSpec folds the positive flag spellings back into the spec and
-// returns it — the wire form campaignd job submission ships to the daemon.
-func (cf *CampaignFlags) ResolveSpec() CampaignSpec {
-	cf.Spec.NoTriage = !cf.Triage
-	cf.Spec.NoFastSim = !cf.FastSim
-	return cf.Spec
+// -sample, -maxbits, -workers, -kernel — on fs, seeded from def, and
+// returns the spec the parsed values land in.
+func RegisterCampaignFlags(fs *flag.FlagSet, def CampaignSpec) *CampaignSpec {
+	s := def
+	fs.StringVar(&s.Design, "design", def.Design, "catalogued design")
+	fs.StringVar(&s.Geom, "geom", def.Geom, "device geometry: tiny|small|xqvr1000")
+	fs.Int64Var(&s.Seed, "seed", def.Seed, "random seed")
+	fs.Float64Var(&s.Sample, "sample", def.Sample, "fraction of configuration bits to inject (1 = exhaustive)")
+	fs.Int64Var(&s.MaxBits, "maxbits", def.MaxBits, "cap injections per design at the first N selected bits (0 = no cap)")
+	fs.IntVar(&s.Workers, "workers", def.Workers, "parallel injection workers, each on a cloned board replica; results are identical at any count (0 = GOMAXPROCS)")
+	fs.StringVar(&s.Kernel, "kernel", def.Kernel, "vector (default) | sweep (reference oracle); reports are byte-identical at either")
+	return &s
 }

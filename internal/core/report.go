@@ -25,10 +25,6 @@ type CampaignReport struct {
 	SimulatedTimeSec float64        `json:"simulated_time_seconds"`
 	Sample           float64        `json:"sample"`
 	Seed             int64          `json:"seed"`
-	Workers          int            `json:"workers"`
-	Triage           bool           `json:"triage"`
-	FastSim          bool           `json:"fastsim"`
-	Kernel           string         `json:"kernel"`
 	CyclesSimulated  int64          `json:"cycles_simulated"`
 	CyclesSkipped    int64          `json:"cycles_skipped"`
 }
@@ -53,10 +49,6 @@ func NewCampaignReport(rep *seu.Report, cfg Config) CampaignReport {
 		SimulatedTimeSec: rep.SimulatedTime.Seconds(),
 		Sample:           cfg.Sample,
 		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		Triage:           !cfg.NoTriage,
-		FastSim:          !cfg.NoFastSim,
-		Kernel:           cfg.Kernel.String(),
 		CyclesSimulated:  rep.CyclesSimulated,
 		CyclesSkipped:    rep.CyclesSkipped,
 	}

@@ -24,22 +24,19 @@ func ParseGeometry(name string) (device.Geometry, error) {
 
 // CampaignSpec is the serializable form of one experiment configuration —
 // the wire format shared by the CLI flag sets, campaign-service job specs,
-// and checkpoint metadata. Boolean polarity matches Config: the zero value
-// keeps triage and fastsim on. A spec resolves to a Config with Resolve;
+// and checkpoint metadata. A spec resolves to a Config with Resolve;
 // everything a campaign's outcome depends on is in here, which is what
 // makes checkpointed jobs resumable across daemon restarts.
 type CampaignSpec struct {
 	// Design is the catalogued design name (designs.ByName).
 	Design string `json:"design"`
 	// Geom is the geometry spelling ParseGeometry accepts ("" = small).
-	Geom      string  `json:"geom,omitempty"`
-	Seed      int64   `json:"seed"`
-	Sample    float64 `json:"sample"`
-	MaxBits   int64   `json:"max_bits,omitempty"`
-	Workers   int     `json:"workers"`
-	NoTriage  bool    `json:"no_triage,omitempty"`
-	NoFastSim bool    `json:"no_fastsim,omitempty"`
-	// Kernel is the seu.ParseKernel spelling ("" = auto).
+	Geom    string  `json:"geom,omitempty"`
+	Seed    int64   `json:"seed"`
+	Sample  float64 `json:"sample"`
+	MaxBits int64   `json:"max_bits,omitempty"`
+	Workers int     `json:"workers"`
+	// Kernel is the seu.ParseKernel spelling ("" = vector).
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -55,14 +52,12 @@ func (s CampaignSpec) Resolve() (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Geom:      g,
-		Seed:      s.Seed,
-		Sample:    s.Sample,
-		MaxBits:   s.MaxBits,
-		Workers:   s.Workers,
-		NoTriage:  s.NoTriage,
-		NoFastSim: s.NoFastSim,
-		Kernel:    k,
+		Geom:    g,
+		Seed:    s.Seed,
+		Sample:  s.Sample,
+		MaxBits: s.MaxBits,
+		Workers: s.Workers,
+		Kernel:  k,
 	}, nil
 }
 

@@ -1,9 +1,8 @@
 // Package crosscheck is the randomized differential conformance harness:
 // seeded random designs (netlist and raw-fabric) run their injection
-// campaign at every point of the configuration lattice — {fastsim on/off} ×
-// {triage on/off} × {worker counts} × {sweep/event/auto/vector/vector-sweep
-// kernel} — and every
-// point must produce a byte-identical canonical report. A set of metamorphic
+// campaign at every point of the configuration lattice — {reference oracle,
+// production path} × {worker counts} — and every point must produce a
+// byte-identical canonical report. A set of metamorphic
 // invariants (sample-subset monotonicity, MaxBits prefixing, classification
 // independence, inert-bit force-injection, repair restoring full state
 // equality) cross-checks the campaign against properties the optimized fast
@@ -19,17 +18,21 @@ import (
 	"repro/internal/seu"
 )
 
-// Point is one configuration of the campaign lattice.
+// Point is one configuration of the campaign lattice: the production path
+// (the vector kernel with triage and lock-step early exit on) or the
+// reference oracle (the scalar sweep kernel with both off), at a worker
+// count.
 type Point struct {
-	FastSim bool
-	Triage  bool
-	Workers int
-	Kernel  seu.Kernel
+	Production bool
+	Workers    int
 }
 
 func (pt Point) String() string {
-	return fmt.Sprintf("fastsim=%v triage=%v workers=%d kernel=%s",
-		pt.FastSim, pt.Triage, pt.Workers, pt.Kernel)
+	path := "oracle"
+	if pt.Production {
+		path = "production"
+	}
+	return fmt.Sprintf("%s workers=%d", path, pt.Workers)
 }
 
 // workerAxis deliberately includes a count (13) large enough that the
@@ -37,30 +40,19 @@ func (pt Point) String() string {
 var workerAxis = []int{1, 4, 13}
 
 // Reference is the lattice origin every other point is compared against:
-// every fast path off, sequential, full-sweep kernel.
+// the oracle, sequential.
 func Reference() Point {
-	return Point{FastSim: false, Triage: false, Workers: 1, Kernel: seu.KernelSweep}
+	return Point{Workers: 1}
 }
 
-// Lattice enumerates the full configuration lattice (60 points). It includes
-// the reference point itself, so a sweep also re-checks run-to-run
-// reproducibility of the slow path. The kernel axis spans every ParseKernel
-// spelling: sweep, event, auto (whose scalar behaviour follows fastsim),
-// vector (the 64-lane batch kernel with the event-driven drain, which must
-// demote incompatible bits to a scalar path that itself follows auto
-// semantics), and vector-sweep (the same lane machine running the full-sweep
-// settling loop — the pair pins the two lane kernels to each other as well
-// as to the scalar reference).
+// Lattice enumerates the configuration lattice (6 points). It includes the
+// reference point itself, so a sweep also re-checks run-to-run
+// reproducibility of the oracle.
 func Lattice() []Point {
 	var pts []Point
-	kernels := []seu.Kernel{seu.KernelSweep, seu.KernelEvent, seu.KernelAuto, seu.KernelVector, seu.KernelVectorSweep}
-	for _, fs := range []bool{false, true} {
-		for _, tr := range []bool{false, true} {
-			for _, w := range workerAxis {
-				for _, k := range kernels {
-					pts = append(pts, Point{FastSim: fs, Triage: tr, Workers: w, Kernel: k})
-				}
-			}
+	for _, prod := range []bool{false, true} {
+		for _, w := range workerAxis {
+			pts = append(pts, Point{Production: prod, Workers: w})
 		}
 	}
 	return pts
@@ -98,6 +90,10 @@ func DefaultParams(seed int64) Params {
 }
 
 func (p Params) options(pt Point) seu.Options {
+	kernel := seu.KernelSweep
+	if pt.Production {
+		kernel = seu.KernelVector
+	}
 	return seu.Options{
 		ObserveCycles:       p.ObserveCycles,
 		PersistWindow:       p.PersistWindow,
@@ -108,10 +104,9 @@ func (p Params) options(pt Point) seu.Options {
 		Workers:             pt.Workers,
 		ClassifyPersistence: true,
 		CollectBits:         true,
-		FastPadSkip:         true,
-		Triage:              pt.Triage,
-		FastSim:             pt.FastSim,
-		Kernel:              pt.Kernel,
+		Triage:              pt.Production,
+		FastSim:             pt.Production,
+		Kernel:              kernel,
 	}
 }
 
@@ -217,11 +212,9 @@ func CheckDesign(d Design, p Params) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !pt.Triage && rep.TriageSkipped != 0 {
-			return nil, fmt.Errorf("%s at (%s): TriageSkipped=%d with triage off", d.Name, pt, rep.TriageSkipped)
-		}
-		if !pt.FastSim && rep.CyclesSkipped != 0 {
-			return nil, fmt.Errorf("%s at (%s): CyclesSkipped=%d with fastsim off", d.Name, pt, rep.CyclesSkipped)
+		if !pt.Production && (rep.TriageSkipped != 0 || rep.CyclesSkipped != 0) {
+			return nil, fmt.Errorf("%s at (%s): oracle used a fast path (triage skipped %d, cycles skipped %d)",
+				d.Name, pt, rep.TriageSkipped, rep.CyclesSkipped)
 		}
 		got, err := canonicalBytes(rep)
 		if err != nil {

@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/seu"
 )
 
 // TestConformanceSlice is the CI-sized slice of the conformance suite: a
 // handful of seeded designs (mixing netlist and raw-fabric flavours) swept
-// over the full 60-point lattice plus all metamorphic invariants. The full
+// over the full 6-point lattice plus all metamorphic invariants. The full
 // suite is `go run ./cmd/crosscheck -designs 200 -seed 1`.
 func TestConformanceSlice(t *testing.T) {
 	if testing.Short() {
@@ -28,7 +29,7 @@ func TestConformanceSlice(t *testing.T) {
 // so that sampled injections concentrate on the vector kernel's windowable
 // demotions (LUT-mode flips creating live SRL16s, BRAM content behind a
 // read-only port) and its fully scalar residue (BRAM port fields) — over
-// the complete 60-point lattice. Every point must produce a byte-identical
+// the complete 6-point lattice. Every point must produce a byte-identical
 // report; a divergence here is a carry-lane exactness bug.
 func TestDemotedLaneStress(t *testing.T) {
 	if testing.Short() {
@@ -84,5 +85,35 @@ func TestGenerateDeterministic(t *testing.T) {
 	b, _ := Generate(g, 8, 0)
 	if a.Placed.Memory.Equal(b.Placed.Memory) {
 		t.Fatal("different seeds produced identical configurations")
+	}
+}
+
+// TestLatticeShape pins the lattice to {oracle, production} × the worker
+// axis, with the reference point on it.
+func TestLatticeShape(t *testing.T) {
+	pts := Lattice()
+	if len(pts) != 2*len(workerAxis) {
+		t.Fatalf("lattice has %d points, want %d", len(pts), 2*len(workerAxis))
+	}
+	seen := make(map[Point]bool)
+	for _, pt := range pts {
+		if seen[pt] {
+			t.Fatalf("duplicate lattice point %s", pt)
+		}
+		seen[pt] = true
+	}
+	if !seen[Reference()] {
+		t.Fatal("lattice omits the reference point")
+	}
+	for _, w := range workerAxis {
+		if !seen[Point{Production: true, Workers: w}] || !seen[Point{Workers: w}] {
+			t.Fatalf("workers=%d: lattice misses the oracle or the production point", w)
+		}
+	}
+	if o := (Params{}).options(Reference()); o.Kernel != seu.KernelSweep || o.Triage || o.FastSim {
+		t.Fatalf("reference point is not the oracle: %+v", o)
+	}
+	if o := (Params{}).options(Point{Production: true, Workers: 1}); o.Kernel != seu.KernelVector || !o.Triage || !o.FastSim {
+		t.Fatalf("production point is not the production path: %+v", o)
 	}
 }

@@ -206,7 +206,7 @@ func checkInertBits(d Design, p Params) error {
 	gm := bd.Golden.ConfigMemory()
 	total := g.TotalBits()
 	// Sample inert non-pad bits evenly across the address space; pad bits
-	// are skipped because FastPadSkip already covers them and they carry no
+	// are skipped because pad retirement already covers them and they carry no
 	// decode at all.
 	var picked []device.BitAddr
 	stride := total/977 + 1

@@ -113,7 +113,6 @@ type workerState struct {
 	id       string
 	name     string
 	cpus     int
-	kernels  []string
 	lastSeen time.Time
 	leases   map[string]bool
 }
@@ -199,13 +198,13 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 
 // Register adds (or refreshes) a worker and returns its identity plus the
 // cadence contract: how long leases last and how often to heartbeat.
-func (c *Coordinator) Register(name string, cpus int, kernels []string) RegisterReply {
+func (c *Coordinator) Register(name string, cpus int) RegisterReply {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
 	id := fmt.Sprintf("w%06d", c.nextID)
 	c.workers[id] = &workerState{
-		id: id, name: name, cpus: cpus, kernels: kernels,
+		id: id, name: name, cpus: cpus,
 		lastSeen: time.Now(), leases: make(map[string]bool),
 	}
 	return RegisterReply{

@@ -115,7 +115,7 @@ func TestLeaseRunCommitLifecycle(t *testing.T) {
 	jr := startJob(c, "j1", chunks)
 	waitQueue(t, c, len(chunks))
 
-	reg := c.Register("node-a", 4, []string{"vector"})
+	reg := c.Register("node-a", 4)
 	if reg.Worker == "" || reg.LeaseTTLMillis != time.Minute.Milliseconds() {
 		t.Fatalf("bad register reply %+v", reg)
 	}
@@ -172,8 +172,8 @@ func TestLeaseExpiryStealsChunk(t *testing.T) {
 	jr := startJob(c, "j1", chunks)
 	waitQueue(t, c, len(chunks))
 
-	slow := c.Register("slow", 1, nil)
-	thief := c.Register("thief", 1, nil)
+	slow := c.Register("slow", 1)
+	thief := c.Register("thief", 1)
 	lease, err := c.Lease(slow.Worker)
 	if err != nil || lease == nil {
 		t.Fatalf("lease: (%v, %v)", lease, err)
@@ -235,13 +235,13 @@ func TestSilentWorkerDropped(t *testing.T) {
 	jr := startJob(c, "j1", chunks)
 	waitQueue(t, c, len(chunks))
 
-	dead := c.Register("dead", 1, nil)
+	dead := c.Register("dead", 1)
 	if _, err := c.Lease(dead.Worker); err != nil {
 		t.Fatal(err)
 	}
 
 	// The live worker heartbeats while waiting for the dead one's chunk.
-	live := c.Register("live", 1, nil)
+	live := c.Register("live", 1)
 	var stolen *Lease
 	deadline := time.After(5 * time.Second)
 	for stolen == nil {
@@ -283,7 +283,7 @@ func TestCompleteRejectsInvalidResults(t *testing.T) {
 	chunks := testChunks(1)
 	jr := startJob(c, "j1", chunks)
 	waitQueue(t, c, len(chunks))
-	reg := c.Register("node", 1, nil)
+	reg := c.Register("node", 1)
 
 	cases := []struct {
 		name string
@@ -338,7 +338,7 @@ func TestRepeatedValidationRejectsFailJob(t *testing.T) {
 	c, store := testCoord(t, CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 2})
 	jr := startJob(c, "j1", testChunks(1))
 	waitQueue(t, c, 1)
-	reg := c.Register("node", 1, nil)
+	reg := c.Register("node", 1)
 	wrong := seu.ChunkSpec{Index: 99, Lo: 0, Hi: 1}
 	for i := 0; i < 2; i++ {
 		lease, err := c.Lease(reg.Worker)
@@ -366,7 +366,7 @@ func TestRepeatedWorkerErrorsFailJob(t *testing.T) {
 	c, _ := testCoord(t, CoordConfig{LeaseTTL: time.Minute, MaxAttempts: 2})
 	jr := startJob(c, "j1", testChunks(1))
 	waitQueue(t, c, 1)
-	reg := c.Register("node", 1, nil)
+	reg := c.Register("node", 1)
 	for i := 0; i < 2; i++ {
 		lease, err := c.Lease(reg.Worker)
 		if err != nil || lease == nil {
@@ -396,7 +396,7 @@ func TestDuplicateCommitIdempotent(t *testing.T) {
 	chunks := testChunks(1)
 	jr := startJob(c, "j1", chunks)
 	waitQueue(t, c, len(chunks))
-	reg := c.Register("node", 1, nil)
+	reg := c.Register("node", 1)
 
 	lease, err := c.Lease(reg.Worker)
 	if err != nil || lease == nil {
@@ -472,7 +472,7 @@ func TestRunJobCancellationWithdraws(t *testing.T) {
 			})
 	}()
 	waitQueue(t, c, len(chunks))
-	reg := c.Register("node", 1, nil)
+	reg := c.Register("node", 1)
 	lease, err := c.Lease(reg.Worker)
 	if err != nil || lease == nil {
 		t.Fatalf("lease: (%v, %v)", lease, err)

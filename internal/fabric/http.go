@@ -17,11 +17,10 @@ import (
 // An unknown worker ID answers 404; the worker re-registers and retries —
 // registration is soft state the coordinator may drop at any time.
 
-// RegisterRequest announces a worker and its capabilities.
+// RegisterRequest announces a worker and its capacity.
 type RegisterRequest struct {
-	Name    string   `json:"name"`
-	CPUs    int      `json:"cpus"`
-	Kernels []string `json:"kernels,omitempty"`
+	Name string `json:"name"`
+	CPUs int    `json:"cpus"`
 }
 
 // RegisterReply names the worker and sets the cadence contract.
@@ -76,7 +75,7 @@ func Handler(c *Coordinator) http.Handler {
 			fabricError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeFabricJSON(w, http.StatusOK, c.Register(req.Name, req.CPUs, req.Kernels))
+		writeFabricJSON(w, http.StatusOK, c.Register(req.Name, req.CPUs))
 	})
 	mux.HandleFunc("POST /api/v1/fabric/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest

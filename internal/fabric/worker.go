@@ -137,7 +137,6 @@ func (w *workerAgent) register() error {
 	var reply RegisterReply
 	err := w.post("/api/v1/fabric/register", RegisterRequest{
 		Name: w.opt.Name, CPUs: runtime.GOMAXPROCS(0),
-		Kernels: []string{"auto", "sweep", "event", "vector", "vector-sweep"},
 	}, &reply)
 	if err != nil {
 		return err

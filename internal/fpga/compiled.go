@@ -62,24 +62,16 @@ type CompiledDesign struct {
 	llStart []int32
 	llDrv   []int32
 	llKeep  []uint64 // keeper word read when a line has no live driver
-	// llExternal lists lines with at least one non-CLB driver (BRAM dout
-	// words, which change in Clock without an in-sweep refresh edge). Only
-	// these — plus lines carrying lane overlays — can change value at a
-	// sweep boundary, so Settle's end-of-sweep refresh is restricted to
-	// them.
-	llExternal []int32
 
 	// In-sweep refresh edges: CLB-output net id → driven lines, CSR.
 	byOutStart []int32
 	byOutLL    []int32
 
 	// Golden evaluation plan.
-	evalBase    []int32 // active LUTs, topological order
-	evalBasePos []int32 // f.pos of each evalBase entry, for overlay merges
-	clockBase   []int32 // active CLBs, ascending
-	lutPos      []int32 // topological position of every LUT
-	activeLUT   []bool
-	clbActive   []bool
+	evalBase  []int32 // active LUTs, topological order
+	clockBase []int32 // active CLBs, ascending
+	lutPos    []int32 // topological position of every LUT
+	clbActive []bool
 
 	// BRAM read path (writable BRAM never reaches the vector kernel).
 	bramEnID   []int32 // per block: enable-port state index, -1 constant-0
@@ -216,18 +208,13 @@ func (f *FPGA) Compile() *CompiledDesign {
 	c.bramLL = make([][]int32, blocks)
 	for ll, drv := range f.llDrivers {
 		at := c.llStart[ll]
-		external := false
 		for i, ref := range drv {
 			if ref.bram {
 				c.llDrv[at+int32(i)] = c.bramBase + int32(ref.idx*device.BRAMWidth+ref.out)
 				c.bramLL[ref.idx] = append(c.bramLL[ref.idx], int32(ll))
-				external = true
 			} else {
 				c.llDrv[at+int32(i)] = int32(ref.idx*4 + ref.out)
 			}
-		}
-		if external {
-			c.llExternal = append(c.llExternal, int32(ll))
 		}
 	}
 
@@ -243,12 +230,10 @@ func (f *FPGA) Compile() *CompiledDesign {
 
 	// Evaluation plan.
 	c.lutPos = append([]int32(nil), f.pos...)
-	c.activeLUT = append([]bool(nil), f.activeLUT...)
 	c.clbActive = append([]bool(nil), f.clbActive...)
 	for _, li := range f.order {
 		if f.activeLUT[li] {
 			c.evalBase = append(c.evalBase, li)
-			c.evalBasePos = append(c.evalBasePos, f.pos[li])
 		}
 	}
 	for idx := 0; idx < clbs; idx++ {

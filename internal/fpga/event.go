@@ -46,8 +46,8 @@ import (
 
 // SetEventDriven switches the activity-driven kernel on or off. Devices
 // start with it on; disabling falls back to the full-sweep kernel (the
-// -fastsim=false escape hatch). Re-enabling conservatively invalidates all
-// event state.
+// reference oracle). Re-enabling conservatively invalidates all event
+// state.
 func (f *FPGA) SetEventDriven(on bool) {
 	if on == f.eventSim {
 		return

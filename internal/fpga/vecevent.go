@@ -5,14 +5,15 @@ import (
 )
 
 // Event-driven settling over 64-lane words: the vector image of the scalar
-// activity kernel in event.go. The sweep loop in vector.go re-evaluates the
-// whole evaluation list once per sweep; this kernel keeps a dirty-LUT
-// worklist at lane-word granularity — a net is dirty iff ANY lane's bit
-// changed — and drains it in ascending topological-position order, so a
-// Settle touches only logic downstream of actual switching activity.
+// activity kernel in event.go. Where the scalar sweep kernel of sim.go
+// re-evaluates the whole active set once per sweep, this kernel keeps a
+// dirty-LUT worklist at lane-word granularity — a net is dirty iff ANY
+// lane's bit changed — and drains it in ascending topological-position
+// order, so a Settle touches only logic downstream of actual switching
+// activity.
 //
-// Exactness (per lane, against the sweep trajectory of vector.go, which is
-// itself exact against the scalar kernel per lane):
+// Exactness (per lane, against the scalar sweep trajectory of that lane's
+// configuration):
 //
 //   - One worklist round corresponds to one sweep. Scheduled LUTs evaluate
 //     in ascending position (the bitset worklist of worklist.go over
@@ -25,13 +26,15 @@ import (
 //     per-batch fanAdd side table covering every overlay-patched input. A
 //     LUT whose inputs are unchanged in some lane re-evaluates to the same
 //     bits there, so over-scheduling is an identity — the same argument
-//     that lets the sweep kernel evaluate overlay-extra LUTs in all lanes.
-//   - Long lines refresh through the same edges as the sweep kernel:
-//     in-round via the golden byOutLL CSR plus overlay llAddByOut edges
-//     (refreshLine applies per-lane patches itself), and at end of round
-//     for lines whose inputs moved outside Settle — BRAM output registers
-//     (bramLL marks them in Clock), overlay installs/repairs — mirroring
-//     the end-of-sweep refresh, refresh-list superset included.
+//     that lets overlay-activated LUTs evaluate in all lanes.
+//   - Long lines refresh in-round via the golden byOutLL CSR plus overlay
+//     llAddByOut edges (refreshLine applies per-lane patches itself), and
+//     at end of round for lines whose inputs moved outside Settle — BRAM
+//     output registers (bramLL marks them in Clock), overlay
+//     installs/repairs — mirroring the scalar end-of-sweep refresh. Lines
+//     whose drivers are all CLB outputs were refreshed in-round at every
+//     driver change, so re-deriving them at end of round is a provable
+//     no-op.
 //   - Rounds are bounded by MaxSweeps, and a freeze leaves the pending
 //     worklist in place so the next Settle resumes the identical
 //     trajectory.
@@ -51,29 +54,9 @@ import (
 // trajectory: bit i is set iff lane i was still switching at sweep
 // MaxSweeps, which the per-lane sweep equivalence makes batch-independent.
 
-// SetEventDriven switches the lane machine between the event-driven drain
-// (on — the default) and the full-sweep loop. Re-enabling conservatively
-// invalidates all event state; disabling drops the pending worklist (the
-// sweep loop re-derives everything each Settle).
-func (v *Vector) SetEventDriven(on bool) {
-	if on == v.eventDriven {
-		return
-	}
-	v.eventDriven = on
-	if on {
-		v.invalidateAllVec()
-	} else {
-		v.clearEventWork()
-	}
-}
-
-// EventDriven reports whether the event-driven drain is active.
-func (v *Vector) EventDriven() bool { return v.eventDriven }
-
 // FrozenLanes returns the lanes whose last Settle hit the MaxSweeps bound
 // while they were still switching — lanes whose pending worklist encodes
-// future behaviour their visible state alone does not. Always 0 for the
-// sweep kernel, which is memoryless between Settles.
+// future behaviour their visible state alone does not.
 func (v *Vector) FrozenLanes() uint64 { return v.frozenLanes }
 
 // SetActiveMask freezes the lanes outside m: their flip-flops and BRAM
@@ -125,17 +108,12 @@ func (v *Vector) scheduleNetConsumersVec(id int32) {
 
 // markLLStaleVec flags long line ll for an end-of-round refresh: its value
 // inputs changed outside the in-round driver edges (BRAM output register,
-// overlay install or repair) in the given lanes. The per-lane pending mask
-// is kept in both kernels — triggered refreshes consult it to hold lanes
-// whose out-of-band change must not become visible before the end-of-round
-// (end-of-sweep) refresh, matching the scalar witness's timing; the stale
-// list itself only exists for the event drain (the sweep loop's
-// llExternal/llTouched pass is its fixed refresh set).
+// overlay install or repair) in the given lanes. Triggered refreshes
+// consult the per-lane pending mask to hold lanes whose out-of-band change
+// must not become visible before the end-of-round refresh, matching the
+// scalar witness's end-of-sweep timing.
 func (v *Vector) markLLStaleVec(ll int32, lanes uint64) {
 	v.llPendW[ll] |= lanes
-	if !v.eventDriven {
-		return
-	}
 	if !v.staleLLMark[ll] {
 		v.staleLLMark[ll] = true
 		v.staleLL = append(v.staleLL, ll)
@@ -146,9 +124,6 @@ func (v *Vector) markLLStaleVec(ll int32, lanes uint64) {
 // patched li's input list to read id, which the golden fanout CSR does not
 // know about. Removed edge-for-edge when the overlay is repaired.
 func (v *Vector) addFanAddEdge(id, li int32) {
-	if !v.eventDriven {
-		return
-	}
 	if len(v.fanAdd[id]) == 0 {
 		v.fanAddTouched = append(v.fanAddTouched, id)
 	}
@@ -170,12 +145,12 @@ func (v *Vector) removeFanAddEdge(id, li int32) {
 }
 
 // maybeUnmarkCLB drops a CLB from the overlay plan once no lane holds any
-// patch on it — the event-mode counterpart of ResetBatch's per-batch clear.
-// Safe only for the event kernel: repaired logic is re-derived through the
-// worklist (RemoveDelta schedules it), not by keeping it on an evaluation
-// list, and an unmarked inactive CLB's held flip-flops are invisible under
-// golden configuration (its output muxes select the constant-0 LUTs), which
-// is exactly the scalar kernel's post-repair behaviour.
+// patch on it — the per-repair counterpart of ResetBatch's per-batch clear.
+// Safe because repaired logic is re-derived through the worklist
+// (RemoveDelta schedules it), and an unmarked inactive CLB's held
+// flip-flops are invisible under golden configuration (its output muxes
+// select the constant-0 LUTs), which is exactly the scalar kernel's
+// post-repair behaviour.
 func (v *Vector) maybeUnmarkCLB(clb int32) {
 	if !v.overCLB[clb] {
 		return
@@ -202,17 +177,13 @@ func (v *Vector) maybeUnmarkCLB(clb int32) {
 			break
 		}
 	}
-	v.evalStale = true
 }
 
-// invalidateAllVec resets the kernel to "everything dirty": every LUT the
-// sweep loop would evaluate (golden active set plus overlay CLBs)
+// invalidateAllVec resets the kernel to "everything dirty": every LUT a
+// full sweep would evaluate (golden active set plus overlay CLBs)
 // scheduled, every long line stale. Used when lane state changes out of
-// band (ScatterLane) or the kernel is switched on mid-life.
+// band (ScatterLane, a fresh machine, a mid-oscillation canon restore).
 func (v *Vector) invalidateAllVec() {
-	if !v.eventDriven {
-		return
-	}
 	c := v.c
 	for _, li := range c.evalBase {
 		v.scheduleLUTVec(li)
@@ -229,9 +200,8 @@ func (v *Vector) invalidateAllVec() {
 }
 
 // clearEventWork drops all pending event state and per-batch overlay
-// subscriptions. ResetBatch pairs it with invalidateAllVec (the canonical
-// snapshot need not be a fixpoint); switching to the sweep kernel uses it
-// alone, since the sweep loop re-derives everything each Settle.
+// subscriptions. ResetBatch pairs it with invalidateAllVec when the
+// canonical snapshot is not a proven fixpoint.
 func (v *Vector) clearEventWork() {
 	v.work.clear()
 	for _, ll := range v.staleLL {
@@ -245,9 +215,9 @@ func (v *Vector) clearEventWork() {
 	v.frozenLanes = 0
 }
 
-// evalScheduledVec evaluates scheduled LUT li at position p — the body is
-// the sweep loop's evaluation with event propagation hooked onto changes —
-// and returns the lanes whose state moved.
+// evalScheduledVec evaluates scheduled LUT li at position p — one LUT of
+// the scalar sweep's evaluation, with event propagation hooked onto
+// changes — and returns the lanes whose state moved.
 func (v *Vector) evalScheduledVec(li, p int32) uint64 {
 	c := v.c
 	st := v.state
@@ -288,9 +258,9 @@ func (v *Vector) evalScheduledVec(li, p int32) uint64 {
 	return changed
 }
 
-// settleEventVec drains the dirty worklist to a lane-wise fixpoint — the
-// event-driven counterpart of the sweep loop, round-for-round identical to
-// it in every lane (see the package comment above for the argument). All
+// settleEventVec drains the dirty worklist to a lane-wise fixpoint, round
+// for round identical to the scalar sweep loop in every lane (see the
+// comment at the top of this file for the argument). All
 // scratch (worklist bitsets, stale list) lives on the Vector and is reused
 // across batches; the drain allocates nothing.
 func (v *Vector) settleEventVec() {
@@ -313,7 +283,7 @@ func (v *Vector) settleEventVec() {
 		}
 		// Long lines whose inputs changed outside the in-round edges refresh
 		// once at end of round, becoming visible next round — the event image
-		// of the sweep kernel's end-of-sweep refresh.
+		// of the scalar end-of-sweep refresh.
 		if len(v.staleLL) > 0 {
 			for _, ll := range v.staleLL {
 				v.staleLLMark[ll] = false

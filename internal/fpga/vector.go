@@ -6,12 +6,12 @@ import (
 	"repro/internal/device"
 )
 
-// Bit-parallel fault simulation: 64 fault universes evaluated per sweep.
+// Bit-parallel fault simulation: 64 fault universes evaluated per pass.
 //
-// A Vector is a lane-parallel re-implementation of the full-sweep kernel in
-// sim.go: every bool of device state (netVal, lutVal, ffVal, BRAM output
-// register bits) becomes one uint64 word whose lane i holds the value that
-// state bit has in fault universe i. All lanes share one read-only
+// A Vector is a lane-parallel re-implementation of the scalar simulation
+// kernel in sim.go: every bool of device state (netVal, lutVal, ffVal,
+// BRAM output register bits) becomes one uint64 word whose lane i holds
+// the value that state bit has in fault universe i. All lanes share one read-only
 // CompiledDesign — the struct-of-arrays form of the golden decode — and a
 // universe's single-bit configuration delta is a per-lane overlay (a patched
 // truth table, a flipped output mux, an extra long-line driver, ...)
@@ -20,25 +20,15 @@ import (
 // lines are a lane-wise AND of their driver words; the flip-flop update is
 // the classic mux word (d & ce) | (ff &^ ce).
 //
-// Exactness. Per lane, a Vector sweep is the scalar sweep of sim.go run
-// under that lane's configuration:
-//
-//   - the evaluation list is the golden active set extended by every CLB
-//     carrying an overlay — a superset of the scalar active/dirty set in
-//     every lane. The extra evaluations are of inactive un-overlaid LUTs,
-//     which always evaluate to 0, exactly the value the scalar kernel
-//     froze them at (truth 0 and no SRL/registered output implies constant
-//     0), so they never change a lane and never mark the sweep changed;
-//   - in-sweep long-line refresh triggers are the golden llByOut edges
-//     plus the edges added by lane overlays — again a superset in every
-//     lane, and a long-line refresh is a stateless recompute, so spurious
-//     triggers are no-ops — and every sweep ends with a refresh of all
-//     lines, exactly like the scalar kernel;
-//   - the sweep loop runs until no lane changes, bounded by MaxSweeps. A
-//     lane at fixpoint re-evaluates to itself, so extra sweeps forced by a
-//     still-settling (or oscillating) lane are identities; an oscillating
-//     lane freezes after exactly MaxSweeps sweeps, the state the scalar
-//     kernel freezes it in.
+// Exactness. Per lane, a Vector Settle reproduces the scalar full-sweep
+// Settle of sim.go run under that lane's configuration, round for sweep
+// (the argument is in vecevent.go): overlay-activated LUTs outside the
+// golden active set evaluate in every lane, but an inactive un-overlaid LUT
+// always evaluates to 0 — the value the scalar kernel froze it at — so the
+// extra work never changes a lane; and in-round long-line refresh triggers
+// are the golden llByOut edges plus the edges added by lane overlays, a
+// superset in every lane of what the scalar kernel follows, while a refresh
+// is a stateless recompute, so spurious triggers are no-ops.
 //
 // Configurations a per-lane overlay cannot represent exactly — SRL16 shift
 // registers, writable BRAM, stuck-at overlays, LUT-mode flips — are never
@@ -250,14 +240,6 @@ type Vector struct {
 	lut   []uint64
 	ff    []uint64
 
-	// Batch evaluation plan: the golden active sets extended by overlay
-	// CLBs, rebuilt lazily after overlays change.
-	evalList  []int32
-	clockList []int32
-	extraLUTs []int32
-	extraCLBs []int32
-	evalStale bool
-
 	// Per-lane overlays (DUT side only), reset per batch. The *Touched
 	// lists make the reset proportional to the batch's overlay count, not
 	// the device size.
@@ -283,7 +265,6 @@ type Vector struct {
 	// fanout subscriptions for overlay-patched inputs; active freezes
 	// retired lanes through Clock; frozenLanes is the per-lane
 	// MaxSweeps-freeze gate consulted by board.LockedWord.
-	eventDriven   bool
 	active        uint64
 	frozenLanes   uint64
 	work          worklist
@@ -319,10 +300,8 @@ func NewVector(c *CompiledDesign) *Vector {
 		staleLLMark: make([]bool, c.lls),
 		llPendW:     make([]uint64, c.lls),
 		fanAdd:      make([][]int32, c.nets),
-		eventDriven: true,
 		active:      ^uint64(0),
 		MaxSweeps:   c.maxSweeps,
-		evalStale:   true,
 	}
 	// Fresh lane words are all-zero, not the canonical snapshot; until the
 	// first ResetBatch the drain must treat everything as dirty.
@@ -380,7 +359,6 @@ func (v *Vector) ResetBatch(n int) {
 		v.overCLB[ci] = false
 	}
 	v.overCLBList = v.overCLBList[:0]
-	v.evalStale = true
 	v.active = v.full
 	// Drop the previous batch's pending work and overlay subscriptions.
 	// When the canonical snapshot is a proven fixpoint every LUT
@@ -388,7 +366,7 @@ func (v *Vector) ResetBatch(n int) {
 	// overlays and pin changes applied after this reset schedule their own
 	// work. A design frozen mid-oscillation at the MaxSweeps bound instead
 	// gets a full first drain, continuing the canonical trajectory exactly
-	// the way the sweep kernel's evaluate-everything Settle would.
+	// the way the scalar sweep kernel's evaluate-everything Settle would.
 	v.clearEventWork()
 	// Reloaded lanes are driver-consistent (the canonical snapshot is taken
 	// post-Settle, whose final pass refreshes every line), so the previous
@@ -479,7 +457,6 @@ func (v *Vector) markCLB(clb int32) {
 		v.overCLB[clb] = true
 		v.overCLBList = append(v.overCLBList, clb)
 	}
-	v.evalStale = true
 }
 
 func (v *Vector) addEdge(id int32, ll int32) {
@@ -512,12 +489,10 @@ func (v *Vector) ApplyDelta(lane int, d VectorDelta) {
 		}
 		v.lutOver[li] = append(v.lutOver[li], p)
 		v.markCLB(d.clb)
-		if v.eventDriven {
-			v.scheduleLUTVec(li)
-			for _, id := range p.inID {
-				if id < int32(c.nets) {
-					v.addFanAddEdge(id, li)
-				}
+		v.scheduleLUTVec(li)
+		for _, id := range p.inID {
+			if id < int32(c.nets) {
+				v.addFanAddEdge(id, li)
 			}
 		}
 	case vdOutMux:
@@ -527,9 +502,7 @@ func (v *Vector) ApplyDelta(lane int, d VectorDelta) {
 		}
 		v.muxXor[li] ^= bit
 		v.markCLB(d.clb)
-		if v.eventDriven {
-			v.scheduleLUTVec(li)
-		}
+		v.scheduleLUTVec(li)
 	case vdFFCE:
 		i := d.clb*device.FFsPerCLB + int32(d.l)
 		var ceID int32
@@ -574,9 +547,8 @@ func (v *Vector) ApplyDelta(lane int, d VectorDelta) {
 }
 
 // removeEdge drops one (id -> ll) overlay refresh edge, the inverse of
-// addEdge. Exact in both kernels: with the lane's patch gone the added
-// driver contributes to no lane's wired-AND, so the refresh it triggered
-// was already a no-op.
+// addEdge. Exact: with the lane's patch gone the added driver contributes
+// to no lane's wired-AND, so the refresh it triggered was already a no-op.
 func (v *Vector) removeEdge(id int32, ll int32) {
 	s := v.llAddByOut[id]
 	for i, x := range s {
@@ -600,14 +572,12 @@ func (v *Vector) addLLPatch(ll int32, p llLanePatch) {
 // effective configuration exactly golden — the lane equivalent of the
 // scalar frame write-back.
 //
-// In the sweep kernel, refresh-edge entries and the overlay CLB's
-// membership in the evaluation plan are left in place; both are exact
-// no-ops under the golden configuration, and the per-batch ResetBatch
-// clears them. The event kernel instead unwinds them edge-for-edge (and
-// schedules the repaired logic so the next drain re-derives the lane under
-// golden configuration): with mid-batch lane refill a batch can span
-// thousands of injections, and keeping every retired overlay's plan
-// residue would grow the per-clock work without bound.
+// Refresh edges, fanout subscriptions and the overlay CLB's plan membership
+// unwind edge-for-edge, and the repaired logic is scheduled so the next
+// drain re-derives the lane under golden configuration: with mid-batch lane
+// refill a batch can span thousands of injections, and keeping every
+// retired overlay's plan residue would grow the per-clock work without
+// bound.
 func (v *Vector) RemoveDelta(lane int, d VectorDelta) {
 	c := v.c
 	bit := uint64(1) << uint(lane)
@@ -616,28 +586,24 @@ func (v *Vector) RemoveDelta(lane int, d VectorDelta) {
 	case vdTruth, vdInSel:
 		li := d.clb*device.LUTsPerCLB + int32(d.l)
 		v.lutOver[li] = dropLutPatch(v.lutOver[li], uint8(lane))
-		if v.eventDriven {
-			v.scheduleLUTVec(li)
-			// Unsubscribe the same resolved input ids ApplyDelta added.
-			i4 := int(li) * device.LUTInputs
-			for in := 0; in < device.LUTInputs; in++ {
-				id := c.inID[i4+in]
-				if d.kind == vdInSel && in == int(d.in) {
-					id = c.slotID[int(d.clb)*device.InMuxWays+int(d.sel)]
-				}
-				if id < int32(c.nets) {
-					v.removeFanAddEdge(id, li)
-				}
+		v.scheduleLUTVec(li)
+		// Unsubscribe the same resolved input ids ApplyDelta added.
+		i4 := int(li) * device.LUTInputs
+		for in := 0; in < device.LUTInputs; in++ {
+			id := c.inID[i4+in]
+			if d.kind == vdInSel && in == int(d.in) {
+				id = c.slotID[int(d.clb)*device.InMuxWays+int(d.sel)]
 			}
-			v.maybeUnmarkCLB(d.clb)
+			if id < int32(c.nets) {
+				v.removeFanAddEdge(id, li)
+			}
 		}
+		v.maybeUnmarkCLB(d.clb)
 	case vdOutMux:
 		li := d.clb*device.LUTsPerCLB + int32(d.l)
 		v.muxXor[li] &^= bit
-		if v.eventDriven {
-			v.scheduleLUTVec(li)
-			v.maybeUnmarkCLB(d.clb)
-		}
+		v.scheduleLUTVec(li)
+		v.maybeUnmarkCLB(d.clb)
 	case vdFFCE:
 		i := d.clb*device.FFsPerCLB + int32(d.l)
 		ps := v.ceOver[i]
@@ -648,15 +614,11 @@ func (v *Vector) RemoveDelta(lane int, d VectorDelta) {
 				break
 			}
 		}
-		if v.eventDriven {
-			v.maybeUnmarkCLB(d.clb)
-		}
+		v.maybeUnmarkCLB(d.clb)
 	case vdFFDInv:
 		i := d.clb*device.FFsPerCLB + int32(d.l)
 		v.dinvXor[i] &^= bit
-		if v.eventDriven {
-			v.maybeUnmarkCLB(d.clb)
-		}
+		v.maybeUnmarkCLB(d.clb)
 	case vdLLAdd, vdLLRemove, vdLLSrc:
 		ps := v.llOver[d.ll]
 		for k := range ps {
@@ -673,7 +635,7 @@ func (v *Vector) RemoveDelta(lane int, d VectorDelta) {
 			v.removeEdge(d.clb*4+int32(d.nsrc), d.ll)
 		}
 		// The lane's wired-AND reverts to golden at the next end-of-round
-		// refresh (end-of-sweep llTouched refresh in the sweep kernel).
+		// refresh.
 		v.markLLStaleVec(d.ll, bit)
 	}
 }
@@ -695,9 +657,7 @@ func (v *Vector) SetPinWord(p int, w uint64) {
 		return
 	}
 	v.state[id] = w
-	if v.eventDriven {
-		v.scheduleNetConsumersVec(id)
-	}
+	v.scheduleNetConsumersVec(id)
 }
 
 // PinWord returns the lane word currently driving input pin p.
@@ -705,69 +665,6 @@ func (v *Vector) PinWord(p int) uint64 { return v.state[int(v.c.pinBase)+p] }
 
 // NetWord returns the lane word of dense net id.
 func (v *Vector) NetWord(id int) uint64 { return v.state[id] }
-
-// rebuildLists recomputes the batch evaluation plan: the golden active sets
-// (precompiled, in golden topological order) merged with the LUTs/CLBs that
-// only overlay lanes activated this batch. The merge by topological
-// position reproduces exactly the old full scan of f.order filtered by
-// (active || overlay CLB), at overlay-count cost instead of device cost.
-func (v *Vector) rebuildLists() {
-	c := v.c
-	ex := v.extraLUTs[:0]
-	cx := v.extraCLBs[:0]
-	for _, ci := range v.overCLBList {
-		if !c.clbActive[ci] {
-			cx = append(cx, ci)
-		}
-		base := ci * device.LUTsPerCLB
-		for k := int32(0); k < device.LUTsPerCLB; k++ {
-			if li := base + k; !c.activeLUT[li] {
-				ex = append(ex, li)
-			}
-		}
-	}
-	// Insertion sorts: at most 4 LUTs per overlay CLB, 64 lanes per batch.
-	for i := 1; i < len(ex); i++ {
-		for j := i; j > 0 && c.lutPos[ex[j]] < c.lutPos[ex[j-1]]; j-- {
-			ex[j], ex[j-1] = ex[j-1], ex[j]
-		}
-	}
-	for i := 1; i < len(cx); i++ {
-		for j := i; j > 0 && cx[j] < cx[j-1]; j-- {
-			cx[j], cx[j-1] = cx[j-1], cx[j]
-		}
-	}
-	v.extraLUTs, v.extraCLBs = ex, cx
-
-	v.evalList = v.evalList[:0]
-	bi, ei := 0, 0
-	for bi < len(c.evalBase) && ei < len(ex) {
-		if c.evalBasePos[bi] < c.lutPos[ex[ei]] {
-			v.evalList = append(v.evalList, c.evalBase[bi])
-			bi++
-		} else {
-			v.evalList = append(v.evalList, ex[ei])
-			ei++
-		}
-	}
-	v.evalList = append(v.evalList, c.evalBase[bi:]...)
-	v.evalList = append(v.evalList, ex[ei:]...)
-
-	v.clockList = v.clockList[:0]
-	bi, ei = 0, 0
-	for bi < len(c.clockBase) && ei < len(cx) {
-		if c.clockBase[bi] < cx[ei] {
-			v.clockList = append(v.clockList, c.clockBase[bi])
-			bi++
-		} else {
-			v.clockList = append(v.clockList, cx[ei])
-			ei++
-		}
-	}
-	v.clockList = append(v.clockList, c.clockBase[bi:]...)
-	v.clockList = append(v.clockList, cx[ei:]...)
-	v.evalStale = false
-}
 
 // truthWord evaluates a 16-bit truth table over four lane-word inputs via
 // the mux identity: level 1 collapses input 0 against truth bit pairs,
@@ -927,93 +824,9 @@ func (v *Vector) refreshLineFrom(ll int, src int32, golden bool, trigger uint64)
 	return old ^ w
 }
 
-// Settle evaluates combinational logic to a lane-wise fixpoint: the
-// event-driven worklist drain by default (vecevent.go), or the full-sweep
-// loop when the kernel is switched off.
-func (v *Vector) Settle() {
-	if v.eventDriven {
-		v.settleEventVec()
-		return
-	}
-	v.settleSweep()
-}
-
-// settleSweep is the full-sweep settling loop, mirroring the scalar sweep
-// kernel (same evaluation order, same in-sweep long-line refresh, same
-// MaxSweeps freeze; the end-of-sweep refresh is restricted to the lines
-// that can actually have gone stale — see below — which is state-identical
-// to the scalar kernel's full pass, changed flag included). The hot loop is
-// pure flat-slice traffic: truth/input indices/mux words stream from the
-// compiled design, state reads are single-indexed loads.
-func (v *Vector) settleSweep() {
-	if v.evalStale {
-		v.rebuildLists()
-	}
-	c := v.c
-	st := v.state
-	truth, inID, lut := c.truth, c.inID, v.lut
-	muxW, muxXor, ff := c.muxW, v.muxXor, v.ff
-	work := 0
-	for sweeps := 0; sweeps < v.MaxSweeps; sweeps++ {
-		changed := false
-		for _, li := range v.evalList {
-			i4 := int(li) * device.LUTInputs
-			in := inID[i4 : i4+4 : i4+4]
-			w := truthWord(truth[li], st[in[0]], st[in[1]], st[in[2]], st[in[3]])
-			if ps := v.lutOver[li]; len(ps) > 0 {
-				for i := range ps {
-					p := &ps[i]
-					w = w&^(1<<p.lane) | v.laneLUTBit(p)<<p.lane
-				}
-			}
-			if lut[li] != w {
-				lut[li] = w
-				changed = true
-			}
-			mux := muxW[li] ^ muxXor[li]
-			out := ff[li]&mux | w&^mux
-			if st[li] != out {
-				trig := st[li] ^ out
-				st[li] = out
-				changed = true
-				for _, ll := range c.byOutLL[c.byOutStart[li]:c.byOutStart[li+1]] {
-					v.refreshLineFrom(int(ll), li, true, trig)
-				}
-				for _, ll := range v.llAddByOut[li] {
-					v.refreshLineFrom(int(ll), li, false, trig)
-				}
-			}
-		}
-		// End-of-sweep line refresh, restricted to the lines that can have
-		// gone stale: a line whose drivers are all CLB outputs was refreshed
-		// in-sweep at every driver change (byOutLL plus llAddByOut cover the
-		// golden and overlay-added drivers), so re-deriving it here is a
-		// provable no-op — including its contribution to the changed flag.
-		// Only BRAM-driven lines (douts move in Clock, which has no refresh
-		// edges) and lines carrying lane overlays this batch (overlay
-		// install/repair rewrites their per-lane wired-AND out of band) can
-		// differ. llTouched may overlap llExternal; refreshLine is
-		// idempotent, so the duplicate call is harmless.
-		for _, ll := range c.llExternal {
-			if v.refreshLine(int(ll)) != 0 {
-				changed = true
-			}
-		}
-		for _, ll := range v.llTouched {
-			if v.refreshLine(int(ll)) != 0 {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		work++
-	}
-	if work > 0 {
-		v.statRounds += int64(work)
-		v.statDrains++
-	}
-}
+// Settle evaluates combinational logic to a lane-wise fixpoint through the
+// event-driven worklist drain (vecevent.go).
+func (v *Vector) Settle() { v.settleEventVec() }
 
 // Clock performs one rising edge: flip-flops of the clock list load their
 // (possibly lane-inverted) D inputs under their lane-wise clock enables,
@@ -1021,25 +834,14 @@ func (v *Vector) settleSweep() {
 // Frozen (inactive) lanes hold their flip-flops and BRAM registers, so
 // retired lanes generate no settling work.
 //
-// The event path iterates the golden clock set plus live overlay CLBs
-// directly instead of the merged clockList: mid-batch install/repair would
-// otherwise force an O(active-set) list rebuild per injection, and flip-
-// flop updates are mutually independent, so iteration order is free.
+// The clock set is the golden active CLBs plus live overlay CLBs; flip-flop
+// updates are mutually independent, so iteration order is free.
 func (v *Vector) Clock() {
-	if v.eventDriven {
-		for _, ci := range v.c.clockBase {
-			v.clockCLB(ci)
-		}
-		for _, ci := range v.overCLBList {
-			if !v.c.clbActive[ci] {
-				v.clockCLB(ci)
-			}
-		}
-	} else {
-		if v.evalStale {
-			v.rebuildLists()
-		}
-		for _, ci := range v.clockList {
+	for _, ci := range v.c.clockBase {
+		v.clockCLB(ci)
+	}
+	for _, ci := range v.overCLBList {
+		if !v.c.clbActive[ci] {
 			v.clockCLB(ci)
 		}
 	}
@@ -1049,8 +851,8 @@ func (v *Vector) Clock() {
 }
 
 // clockCLB updates one CLB's flip-flops. When a flip-flop changes in a
-// lane whose output mux selects it, the LUT's output net will move, so the
-// event kernel schedules it for the next drain.
+// lane whose output mux selects it, the LUT's output net will move, so it
+// is scheduled for the next drain.
 func (v *Vector) clockCLB(ci int32) {
 	c := v.c
 	st := v.state
@@ -1073,7 +875,7 @@ func (v *Vector) clockCLB(ci int32) {
 			continue
 		}
 		v.ff[i] = nw
-		if v.eventDriven && (nw^old)&(c.muxW[i]^v.muxXor[i]) != 0 {
+		if (nw^old)&(c.muxW[i]^v.muxXor[i]) != 0 {
 			v.scheduleLUTVec(int32(i))
 		}
 	}
@@ -1123,10 +925,9 @@ func (v *Vector) clockBRAM(bi int) {
 		}
 	}
 	// A moved output register invalidates the long lines this block drives;
-	// the next settle's end-of-round refresh (end-of-sweep llExternal
-	// refresh in the sweep kernel) makes it visible. The changed lanes go
-	// into the pending mask so a triggered refresh from another lane's
-	// driver cannot apply the move early.
+	// the next settle's end-of-round refresh makes it visible. The changed
+	// lanes go into the pending mask so a triggered refresh from another
+	// lane's driver cannot apply the move early.
 	if changed != 0 {
 		for _, ll := range c.bramLL[bi] {
 			v.markLLStaleVec(ll, changed)

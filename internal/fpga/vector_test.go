@@ -65,11 +65,16 @@ func laneMatchesScalar(v *Vector, lane int, s *FPGA) string {
 
 // checkVectorAgainstScalars drives a batch of `lanes` single-bit fault
 // universes through the vector machine alongside `lanes` independent scalar
-// devices carrying the same injections and identical per-lane stimulus, with
-// a mid-run repair, asserting every lane's full visible state matches its
-// scalar witness after every clock — the property the vector kernel's
-// exactness rests on.
-func checkVectorAgainstScalars(t *testing.T, seed int64, lanes int) {
+// sweep-kernel devices carrying the same injections and identical per-lane
+// stimulus, with a mid-run repair at step 15, asserting every lane's full
+// visible state matches its scalar witness after every Settle and every
+// clock edge — the property the vector kernel's exactness rests on. A
+// positive maxSweeps clamps the settling bound on both sides, so
+// oscillating random designs freeze mid-transient: the drain's round bound
+// must cut each lane's trajectory where the scalar sweep bound does, and
+// the frozen pending worklist must resume it the way the memoryless sweep
+// does.
+func checkVectorAgainstScalars(t *testing.T, seed int64, lanes, maxSweeps int) {
 	t.Helper()
 	g := device.Tiny()
 	rng := rand.New(rand.NewSource(seed))
@@ -125,8 +130,31 @@ func checkVectorAgainstScalars(t *testing.T, seed int64, lanes int) {
 		sc[i] = f.Clone()
 		sc[i].InjectBit(a)
 	}
+	if maxSweeps > 0 {
+		gv.MaxSweeps, dv.MaxSweeps = maxSweeps, maxSweeps
+		for i := range sc {
+			base[i].MaxSweeps, sc[i].MaxSweeps = maxSweeps, maxSweeps
+		}
+	}
+	// phase advances every device through one third of a Step (settle,
+	// clock edge, settle) and compares every lane with its witnesses.
+	phase := func(step int, what string, vec func(*Vector), scalar func(*FPGA)) {
+		vec(gv)
+		vec(dv)
+		for i := 0; i < lanes; i++ {
+			scalar(base[i])
+			scalar(sc[i])
+			if d := laneMatchesScalar(gv, i, base[i]); d != "" {
+				t.Fatalf("seed %d step %d after %s: clean lane %d diverged from scalar (%s)", seed, step, what, i, d)
+			}
+			if d := laneMatchesScalar(dv, i, sc[i]); d != "" {
+				t.Fatalf("seed %d step %d after %s: faulted lane %d (bit %d, repaired=%v) diverged from scalar (%s)",
+					seed, step, what, i, addrs[i], step >= 15 && i%2 == 0, d)
+			}
+		}
+	}
+	settleScalar := func(s *FPGA) { s.Settle() }
 
-	repaired := false
 	for step := 0; step < 30; step++ {
 		if step == 15 {
 			// Repair even lanes mid-run: overlay removal on the vector side,
@@ -135,7 +163,6 @@ func checkVectorAgainstScalars(t *testing.T, seed int64, lanes int) {
 				dv.RemoveDelta(i, deltas[i])
 				sc[i].InjectBit(addrs[i])
 			}
-			repaired = true
 		}
 		for p := 0; p < g.Pins(); p++ {
 			var w uint64
@@ -152,19 +179,11 @@ func checkVectorAgainstScalars(t *testing.T, seed int64, lanes int) {
 			gv.SetPinWord(p, w)
 			dv.SetPinWord(p, w)
 		}
-		gv.Step()
-		dv.Step()
+		phase(step, "settle", (*Vector).Settle, settleScalar)
+		phase(step, "clock", (*Vector).Clock, (*FPGA).clock)
+		phase(step, "second settle", (*Vector).Settle, settleScalar)
 		dw := DivergenceWord(gv, dv)
 		for i := 0; i < lanes; i++ {
-			base[i].Step()
-			sc[i].Step()
-			if what := laneMatchesScalar(gv, i, base[i]); what != "" {
-				t.Fatalf("seed %d step %d: clean lane %d diverged from scalar (%s)", seed, step, i, what)
-			}
-			if what := laneMatchesScalar(dv, i, sc[i]); what != "" {
-				t.Fatalf("seed %d step %d: faulted lane %d (bit %d, repaired=%v) diverged from scalar (%s)",
-					seed, step, i, addrs[i], repaired && i%2 == 0, what)
-			}
 			// DivergenceWord must agree lane-wise with the scalar pair's
 			// visible-state comparison (the lock-step early exit reads it).
 			scalarDiff := laneMatchesScalar(dv, i, base[i]) != ""
@@ -181,7 +200,7 @@ func checkVectorAgainstScalars(t *testing.T, seed int64, lanes int) {
 // simulations bit for bit through stimulus, clocking, and mid-run repair.
 func TestVectorStepMatchesScalarLanes(t *testing.T) {
 	run := func(seed int64) bool {
-		checkVectorAgainstScalars(t, seed, 64)
+		checkVectorAgainstScalars(t, seed, 64, 0)
 		return true
 	}
 	if err := quick.Check(run, &quick.Config{MaxCount: 4}); err != nil {
@@ -193,7 +212,7 @@ func TestVectorStepMatchesScalarLanes(t *testing.T) {
 // sizes: a single lane, one short of a full word, and a full word.
 func TestVectorLaneMaskEdges(t *testing.T) {
 	for _, lanes := range []int{1, 63, 64} {
-		checkVectorAgainstScalars(t, int64(1000+lanes), lanes)
+		checkVectorAgainstScalars(t, int64(1000+lanes), lanes, 0)
 	}
 }
 

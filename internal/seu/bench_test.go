@@ -9,10 +9,11 @@ import (
 	"repro/internal/place"
 )
 
-// benchCampaign times the fig8bench workload (MULT 12, small geometry,
-// 2000 bits) under one kernel — the in-repo twin of cmd/fig8bench's
-// workers-1-vector variant, profileable with -cpuprofile/-memprofile.
-func benchCampaign(b *testing.B, kernel Kernel) {
+// BenchmarkFig8Vector times the fig8bench workload (MULT 12, small
+// geometry, 2000 bits) on the production path — the in-repo twin of
+// cmd/fig8bench's workers-1-vector variant, profileable with
+// -cpuprofile/-memprofile.
+func BenchmarkFig8Vector(b *testing.B) {
 	g := device.Small()
 	spec, err := designs.ByName("MULT 12")
 	if err != nil {
@@ -28,7 +29,6 @@ func benchCampaign(b *testing.B, kernel Kernel) {
 	opts.Workers = 1
 	opts.MaxBits = 2000
 	opts.Sample = 1
-	opts.Kernel = kernel
 	bd, err := board.New(p, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -45,6 +45,3 @@ func benchCampaign(b *testing.B, kernel Kernel) {
 		}
 	}
 }
-
-func BenchmarkFig8Vector(b *testing.B)      { benchCampaign(b, KernelVector) }
-func BenchmarkFig8VectorSweep(b *testing.B) { benchCampaign(b, KernelVectorSweep) }

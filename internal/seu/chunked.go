@@ -154,7 +154,7 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	if opts.ObserveCycles <= 0 || opts.CleanRun <= 0 {
 		return nil, fmt.Errorf("seu: non-positive cycle counts")
 	}
-	bd.SetFastSim(scalarKernelEvent(opts))
+	bd.SetFastSim(opts.Kernel.scalarEventDriven())
 	r := &ChunkRunner{
 		bd:     bd,
 		golden: bd.DUT.ConfigMemory().Clone(),
@@ -170,7 +170,7 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	}
 	limit, _ := selectionPlan(opts, bd.Geometry().TotalBits())
 	r.plan = campaignPlan(bd, opts, limit, r.tri)
-	r.vr = maybeNewVectorRunner(bd, opts, r.plan)
+	r.vr = maybeNewVectorRunner(bd, r.plan)
 	return r, nil
 }
 
@@ -182,7 +182,7 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 // of it.
 func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
 	wb := acquireReplica(r.bd, r.tag, seed)
-	wb.SetFastSim(scalarKernelEvent(r.opts))
+	wb.SetFastSim(r.opts.Kernel.scalarEventDriven())
 	return &ChunkRunner{
 		bd:     wb,
 		golden: r.golden,
@@ -191,7 +191,7 @@ func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
 		fast:   r.fast,
 		opts:   r.opts,
 		plan:   r.plan,
-		vr:     maybeNewVectorRunner(wb, r.opts, r.plan),
+		vr:     maybeNewVectorRunner(wb, r.plan),
 		tag:    r.tag,
 		pooled: true,
 	}

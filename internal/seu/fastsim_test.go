@@ -9,11 +9,12 @@ import (
 	"repro/internal/place"
 )
 
-// TestFastSimEquivalence is the exactness contract for the event-driven
-// kernel and the lock-step convergence early exit: for every catalog design
-// that fits the test geometry, a fastsim-on campaign — with or without
-// triage, sequential or sharded — produces a report byte-identical to a
-// fastsim-off, triage-off, sequential reference.
+// TestFastSimEquivalence is the exactness contract for the production path
+// and its lock-step convergence early exit: for every catalog design that
+// fits the test geometry, a vector-kernel fastsim-on campaign — with or
+// without triage, sequential or sharded — produces a report byte-identical
+// to the oracle: the scalar sweep kernel, fastsim and triage off,
+// sequential.
 func TestFastSimEquivalence(t *testing.T) {
 	ran := 0
 	sawSkip := false
@@ -25,7 +26,7 @@ func TestFastSimEquivalence(t *testing.T) {
 		}
 		ran++
 		t.Run(spec.Name, func(t *testing.T) {
-			run := func(fastsim, triage bool, workers int) *Report {
+			run := func(kernel Kernel, fastsim, triage bool, workers int) *Report {
 				bd, err := board.New(p, 7)
 				if err != nil {
 					t.Fatal(err)
@@ -36,13 +37,14 @@ func TestFastSimEquivalence(t *testing.T) {
 				opts.Workers = workers
 				opts.Triage = triage
 				opts.FastSim = fastsim
+				opts.Kernel = kernel
 				rep, err := Run(bd, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return rep
 			}
-			ref := run(false, false, 1)
+			ref := run(KernelSweep, false, false, 1)
 			if ref.Injections == 0 {
 				t.Fatal("campaign injected nothing")
 			}
@@ -51,7 +53,7 @@ func TestFastSimEquivalence(t *testing.T) {
 			}
 			for _, triage := range []bool{false, true} {
 				for _, workers := range []int{1, 4} {
-					got := run(true, triage, workers)
+					got := run(KernelVector, true, triage, workers)
 					assertReportsEqual(t, ref, got)
 					if got.CyclesSkipped > 0 {
 						sawSkip = true

@@ -101,7 +101,7 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 		acc.injections++
 		acc.injByKind[info.Kind]++
 		acc.simTime += board.InjectLoopTime
-		if opts.FastPadSkip && (info.Kind == device.KindPad || info.Kind == device.KindExtra) {
+		if info.Kind == device.KindPad || info.Kind == device.KindExtra {
 			continue // provably benign: no decoded behaviour depends on it
 		}
 		if tri.inert(a) {
@@ -201,7 +201,7 @@ func runSharded(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory
 		// Replicas parked by earlier campaigns of the same design are
 		// reused when their fingerprint matches.
 		wb := acquireReplica(bd, tag, opts.Seed+int64(w)+1)
-		wb.SetFastSim(scalarKernelEvent(opts))
+		wb.SetFastSim(opts.Kernel.scalarEventDriven())
 		wg.Add(1)
 		go func(wb *board.SLAAC1V) {
 			defer wg.Done()
@@ -209,7 +209,7 @@ func runSharded(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory
 			// THIS board's configuration memory, so it must live as long as
 			// the replica, not per chunk.
 			fs := newFrameScrub(wb.Geometry())
-			vr := maybeNewVectorRunner(wb, opts, plan)
+			vr := maybeNewVectorRunner(wb, plan)
 			for {
 				ci := atomic.AddInt64(&cursor, 1) - 1
 				if ci >= int64(chunks) || failed.Load() {

@@ -30,7 +30,7 @@ import (
 type planAct uint8
 
 const (
-	// planPad: FastPadSkip retired the bit (padding/extra, provably benign).
+	// planPad: padding or extra-frame bit, provably benign.
 	planPad planAct = iota
 	// planTriage: the static cone-of-influence triage retired the bit.
 	planTriage
@@ -91,14 +91,13 @@ func PoolStats() (hits, misses int64) {
 
 // planKey is everything besides the substrate fingerprint that shapes a
 // plan: the selection set (seed/sample/limit derived from MaxBits) and the
-// skip classifiers baked into the entries.
+// triage classifier baked into the entries.
 type planKey struct {
-	fp      uint64
-	seed    int64
-	sample  float64
-	limit   int64
-	triage  bool
-	padSkip bool
+	fp     uint64
+	seed   int64
+	sample float64
+	limit  int64
+	triage bool
 }
 
 // maxCachedPlanEntries bounds the per-placement plan cache: a full-device
@@ -124,11 +123,11 @@ var (
 	labelsEmit     = pprof.Labels("kernel", "vector", "phase", "emit")
 )
 
-// campaignPlan gates pre-planning on vector eligibility: the scalar
-// kernels need no plan, and designs with history-coupled state (or no
-// design at all) run every bit on the scalar path regardless of Kernel.
+// campaignPlan gates pre-planning on vector eligibility: the oracle needs
+// no plan, and designs with history-coupled state (or no design at all) run
+// every bit on the scalar path regardless of Kernel.
 func campaignPlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage) *prePlan {
-	if !opts.Kernel.vectorized() || bd.DUT.HistoryCoupled() || bd.DUT.Unprogrammed() {
+	if opts.Kernel != KernelVector || bd.DUT.HistoryCoupled() || bd.DUT.Unprogrammed() {
 		return nil
 	}
 	return prePlanFor(bd, opts, limit, tri)
@@ -137,15 +136,14 @@ func campaignPlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage) *pr
 // prePlanFor returns the campaign's pre-plan, from the per-placement cache
 // when the substrate fingerprint and selection options match, else by
 // compiling and classifying now. The caller guarantees vector eligibility
-// (a vectorized Kernel, not history-coupled, programmed).
+// (KernelVector, not history-coupled, programmed).
 func prePlanFor(bd *board.SLAAC1V, opts Options, limit int64, tri *triage) *prePlan {
 	key := planKey{
-		fp:      bd.CampaignFingerprint(),
-		seed:    opts.Seed,
-		sample:  opts.Sample,
-		limit:   limit,
-		triage:  tri != nil,
-		padSkip: opts.FastPadSkip,
+		fp:     bd.CampaignFingerprint(),
+		seed:   opts.Seed,
+		sample: opts.Sample,
+		limit:  limit,
+		triage: tri != nil,
 	}
 	var comp *fpga.CompiledDesign
 	if e, ok := planCaches.Load(bd.Placed); ok {
@@ -189,7 +187,7 @@ func buildPrePlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage, com
 		info := g.Classify(a)
 		e := planEntry{addr: a, kind: info.Kind}
 		switch {
-		case opts.FastPadSkip && (info.Kind == device.KindPad || info.Kind == device.KindExtra):
+		case info.Kind == device.KindPad || info.Kind == device.KindExtra:
 			e.act = planPad
 		case tri.inert(a):
 			e.act = planTriage

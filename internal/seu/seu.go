@@ -50,10 +50,6 @@ type Options struct {
 	// CollectBits records the address of every sensitive bit (needed for
 	// beam-validation correlation and selective TMR).
 	CollectBits bool
-	// FastPadSkip records architecturally inert padding bits as benign
-	// without running the clock. Their decode is provably unchanged, so
-	// this is exact, not an approximation.
-	FastPadSkip bool
 	// Triage enables the campaign-scoped static cone-of-influence analysis:
 	// configuration bits that provably cannot influence any observed output
 	// are tallied as benign without touching the board. The analysis is
@@ -64,103 +60,63 @@ type Options struct {
 	// so reports are byte-identical to triage-off runs; only WallTime and
 	// the TriageSkipped tally differ.
 	Triage bool
-	// FastSim enables the activity-driven settling kernel on both devices
-	// and lock-step convergence early exit: once the repaired DUT is
-	// provably state-identical to the golden device (board.SLAAC1V.Locked),
-	// the remaining clean-run and persistence cycles are credited as
-	// mismatch-free instead of simulated. Both mechanisms are exact —
-	// reports are byte-identical to FastSim-off runs; only WallTime and the
+	// FastSim enables lock-step convergence early exit: once the repaired
+	// DUT is provably state-identical to the golden device
+	// (board.SLAAC1V.Locked), the remaining clean-run and persistence cycles
+	// are credited as mismatch-free instead of simulated. Exact — reports
+	// are byte-identical to FastSim-off runs; only WallTime and the
 	// CyclesSimulated/CyclesSkipped diagnostics differ. Designs with
 	// history-coupled state (SRL16, writable BRAM, stuck overlays) disable
 	// the early exit automatically, since skipping cycles there would change
 	// the state later injections observe.
 	FastSim bool
-	// Kernel overrides which settling kernel both devices run, independently
-	// of FastSim. KernelAuto follows FastSim (the historical coupling); the
-	// explicit choices let conformance harnesses sweep the kernel axis and
-	// the early-exit axis separately. The kernel choice alone is always
-	// exact, so every combination produces byte-identical reports.
+	// Kernel selects the production path (KernelVector, the zero value) or
+	// the reference oracle (KernelSweep). Both produce byte-identical
+	// reports.
 	Kernel Kernel
 }
 
-// Kernel selects the settling kernel an injection campaign runs on.
+// Kernel selects which simulation path an injection campaign runs on.
 type Kernel int
 
 const (
-	// KernelAuto ties the kernel to FastSim: event-driven when FastSim is
-	// on, full-sweep when it is off.
-	KernelAuto Kernel = iota
-	// KernelEvent forces the activity-driven kernel on both devices.
-	KernelEvent
-	// KernelSweep forces the full-sweep kernel on both devices.
+	// KernelVector is the production path: eligible injections run through
+	// the bit-parallel lane kernel — 64 fault universes per pass
+	// (internal/fpga/vector.go), settling through the event-driven worklist
+	// drain (fpga/vecevent.go), with retired lanes refilled mid-batch.
+	// Incompatible bits (SRL16 truth bits, BRAM bits, LUT-mode flips,
+	// history-coupled designs wholesale) are demoted to the scalar
+	// activity-driven kernel. Lane trajectories are exact images of the
+	// scalar sweep kernel, so reports stay byte-identical.
+	KernelVector Kernel = iota
+	// KernelSweep is the reference oracle: every injection runs on the
+	// scalar full-sweep kernel.
 	KernelSweep
-	// KernelVector runs eligible injections through the bit-parallel lane
-	// kernel — 64 fault universes per sweep (internal/fpga/vector.go) —
-	// demoting incompatible bits (SRL16 truth bits, BRAM bits, LUT-mode
-	// flips, history-coupled designs wholesale) to the scalar path, which
-	// then follows KernelAuto semantics. Lane trajectories are exact images
-	// of the scalar sweep kernel, so reports stay byte-identical. Lanes
-	// settle through the event-driven worklist drain (fpga/vecevent.go) and
-	// the batch scheduler refills retired lanes mid-batch.
-	KernelVector
-	// KernelVectorSweep is KernelVector with the lanes settling through the
-	// full-sweep loop instead of the event drain, in fixed 64-lane
-	// generations (the PR 7 scheduler) — the conformance axis separating
-	// "vectorized" from "event-driven" and the sweep-vs-drain crosscheck
-	// anchor.
-	KernelVectorSweep
 )
 
-// ParseKernel maps the CLI spelling to a Kernel.
+// ParseKernel maps the CLI spelling to a Kernel: "" or "vector" for the
+// production path, "sweep" for the reference oracle.
 func ParseKernel(s string) (Kernel, error) {
 	switch s {
-	case "", "auto":
-		return KernelAuto, nil
-	case "event":
-		return KernelEvent, nil
+	case "", "vector":
+		return KernelVector, nil
 	case "sweep":
 		return KernelSweep, nil
-	case "vector":
-		return KernelVector, nil
-	case "vector-sweep":
-		return KernelVectorSweep, nil
 	}
-	return KernelAuto, fmt.Errorf("seu: unknown kernel %q (auto|event|sweep|vector|vector-sweep)", s)
+	return KernelVector, fmt.Errorf("seu: unknown kernel %q (vector|sweep)", s)
 }
 
 func (k Kernel) String() string {
-	switch k {
-	case KernelEvent:
-		return "event"
-	case KernelSweep:
+	if k == KernelSweep {
 		return "sweep"
-	case KernelVector:
-		return "vector"
-	case KernelVectorSweep:
-		return "vector-sweep"
 	}
-	return "auto"
+	return "vector"
 }
 
-// vectorized reports whether k runs eligible injections on the 64-lane
-// kernel (either settling flavour).
-func (k Kernel) vectorized() bool {
-	return k == KernelVector || k == KernelVectorSweep
-}
-
-// scalarKernelEvent resolves which settling kernel the scalar boards run:
-// the explicit choice, or FastSim's historical coupling under KernelAuto.
-// KernelVector follows auto semantics for its scalar fallback — the vector
-// batches never touch the scalar boards' kernel.
-func scalarKernelEvent(opts Options) bool {
-	switch opts.Kernel {
-	case KernelEvent:
-		return true
-	case KernelSweep:
-		return false
-	}
-	return opts.FastSim
-}
+// scalarEventDriven reports whether the scalar boards settle through the
+// activity-driven kernel: the production path's scalar fallback does, the
+// oracle runs full sweeps.
+func (k Kernel) scalarEventDriven() bool { return k == KernelVector }
 
 // DefaultOptions returns the standard campaign parameters.
 func DefaultOptions() Options {
@@ -171,7 +127,6 @@ func DefaultOptions() Options {
 		Sample:              1.0,
 		ClassifyPersistence: true,
 		CollectBits:         true,
-		FastPadSkip:         true,
 		Triage:              true,
 		FastSim:             true,
 	}
@@ -281,7 +236,7 @@ func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, 
 		return nil, fmt.Errorf("seu: non-positive cycle counts")
 	}
 	g := bd.Geometry()
-	bd.SetFastSim(scalarKernelEvent(opts))
+	bd.SetFastSim(opts.Kernel.scalarEventDriven())
 	// Convergence early exit is exact only when no live design state
 	// survives a campaign reset; history-coupled configurations keep
 	// simulating every cycle (the kernel choice alone is always exact).
@@ -311,7 +266,7 @@ func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, 
 	plan := campaignPlan(bd, opts, limit, tri)
 	if workers == 1 {
 		acc := newShardAccum()
-		vr := maybeNewVectorRunner(bd, opts, plan)
+		vr := maybeNewVectorRunner(bd, plan)
 		if err := runRange(ctx, bd, golden, 0, limit, opts, acc, tri, newFrameScrub(g), fast, vr, plan); err != nil {
 			return nil, err
 		}

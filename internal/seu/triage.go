@@ -10,7 +10,7 @@ import (
 // computes the cone of influence of the comparator's observed outputs over
 // the golden decoded fabric (internal/fpga's SensitivityMask) and skips the
 // board entirely for bits proven unable to affect any observation — the
-// generalization of FastPadSkip from padding to all unused fabric. Skipped
+// generalization of pad retirement from padding to all unused fabric. Skipped
 // bits are tallied exactly as a benign injection would be, so reports stay
 // byte-identical to triage-off runs; the analysis refuses to triage
 // configurations with history-coupled state (SRL16, writable BRAM, stuck

@@ -64,7 +64,7 @@ func TestTriageEquivalence(t *testing.T) {
 
 // TestTriageSkippedBitsAreBenign re-runs the full injection procedure on a
 // random sample of bits the triage proved inert — restricted to bits the
-// FastPadSkip path would NOT have caught — and demands every one behaves as
+// pad retirement would NOT have caught — and demands every one behaves as
 // a benign injection: no failure, configuration fully restored, board still
 // in lock-step.
 func TestTriageSkippedBitsAreBenign(t *testing.T) {

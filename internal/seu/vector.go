@@ -17,14 +17,12 @@ import (
 // expressed as lane overlays queue up and run through one vectored clock
 // program; each lane's phase machine reproduces the scalar injectOne
 // outcome (failure verdict, first-error cycle, failed outputs, persistence)
-// exactly, retiring individually on lock-step convergence. Under
-// KernelVector (event drain) the scheduler refills retired lanes from the
-// queue mid-batch, keeping lane occupancy high on triage-heavy campaigns;
-// under KernelVectorSweep it runs fixed 64-lane generations (the PR 7
-// scheduler, kept as the conformance anchor). The per-bit classification
-// work — Classify, PlanVectorDelta, stimulus-seed derivation — happened
-// once, in the campaign pre-plan (preplan.go); the runner just consumes
-// planEntry records.
+// exactly, retiring individually on lock-step convergence. The scheduler
+// refills retired lanes from the queue mid-batch, keeping lane occupancy
+// high on triage-heavy campaigns. The per-bit classification work —
+// Classify, PlanVectorDelta, stimulus-seed derivation — happened once, in
+// the campaign pre-plan (preplan.go); the runner just consumes planEntry
+// records.
 //
 // Bits the planner demotes fall in two classes. Windowable demotions (SRL
 // truth bits, BRAM content — DemotedWindowable) run their corrupt/observe/
@@ -41,11 +39,11 @@ import (
 // regardless of retirement order (emitBatch), keeping reports
 // byte-identical to the scalar kernel at any worker count.
 
-// Scheduler tuning. The event-mode queue depth amortizes generation
-// restarts and keeps the refill pump primed; the refill threshold batches
-// lane restores so the masked canonical copy (O(state words) per call)
-// amortizes over ≥16 lanes. Carried entries park two full behavioural
-// snapshots each, so they flush at a much lower depth.
+// Scheduler tuning. The queue depth amortizes generation restarts and
+// keeps the refill pump primed; the refill threshold batches lane restores
+// so the masked canonical copy (O(state words) per call) amortizes over
+// ≥16 lanes. Carried entries park two full behavioural snapshots each, so
+// they flush at a much lower depth.
 const (
 	vectorQueueDepth = 4096
 	maxQueuedCarries = 64
@@ -127,11 +125,6 @@ type pendingLane struct {
 type vectorRunner struct {
 	vb *board.VectorBoard
 
-	// refill: retire-and-refill lanes mid-batch (KernelVector). Off, the
-	// runner flushes in fixed generations of up to 64 (KernelVectorSweep).
-	refill bool
-	depth  int // queue depth that triggers a flush
-
 	queue   []pendingLane
 	qHead   int
 	carries int // queued carry entries (snapshot-heavy, capped separately)
@@ -144,22 +137,14 @@ type vectorRunner struct {
 }
 
 // maybeNewVectorRunner builds the worker's batch scheduler from the
-// campaign pre-plan. A nil plan (scalar kernel, history-coupled or
+// campaign pre-plan. A nil plan (the oracle kernel, a history-coupled or
 // unprogrammed design) means the worker runs everything on the scalar
 // path. The lane machines share the plan's compiled design read-only.
-func maybeNewVectorRunner(bd *board.SLAAC1V, opts Options, plan *prePlan) *vectorRunner {
-	if plan == nil || !opts.Kernel.vectorized() {
+func maybeNewVectorRunner(bd *board.SLAAC1V, plan *prePlan) *vectorRunner {
+	if plan == nil {
 		return nil
 	}
-	vr := &vectorRunner{vb: board.NewVectorBoardFrom(bd, plan.comp)}
-	if opts.Kernel == KernelVector {
-		vr.refill = true
-		vr.depth = vectorQueueDepth
-	} else {
-		vr.depth = 64
-	}
-	vr.vb.SetEventDriven(vr.refill)
-	return vr
+	return &vectorRunner{vb: board.NewVectorBoardFrom(bd, plan.comp)}
 }
 
 // enqueueVector adds one overlay-expressible injection; the caller flushes
@@ -230,9 +215,9 @@ func (vr *vectorRunner) pending() int { return len(vr.queue) - vr.qHead }
 
 // shouldFlush reports whether the queue reached its flush depth — or the
 // carry cap, which bounds how many parked behavioural snapshots a deep
-// event-mode queue can hold.
+// queue can hold.
 func (vr *vectorRunner) shouldFlush() bool {
-	return vr.pending() >= vr.depth || vr.carries >= maxQueuedCarries
+	return vr.pending() >= vectorQueueDepth || vr.carries >= maxQueuedCarries
 }
 
 // pop hands out the next queued entry in enqueue (= ascending address)
@@ -354,9 +339,8 @@ func (vr *vectorRunner) doRefill(needLock *bool) {
 }
 
 // runQueue drives every queued entry to retirement: generations of up to 64
-// lanes, with retired lanes refilled from the queue mid-generation when the
-// event kernel is driving (refill amortizes its full invalidation over
-// refillThreshold lanes; the sweep kernel keeps PR 7's fixed generations).
+// lanes, with retired lanes refilled from the queue mid-generation (refill
+// amortizes its masked canonical copy over refillThreshold lanes).
 func (vr *vectorRunner) runQueue(opts Options, fast bool) {
 	// needLock tracks whether any live lane is past its repair — the only
 	// phases where the scalar path consults Locked. Overlay lanes start in
@@ -366,7 +350,7 @@ func (vr *vectorRunner) runQueue(opts Options, fast bool) {
 	for vr.pending() > 0 || vr.liveMask != 0 {
 		if vr.liveMask == 0 {
 			vr.startGeneration(&needLock)
-		} else if vr.refill && vr.pending() > 0 && bits.OnesCount64(^vr.liveMask) >= refillThreshold {
+		} else if vr.pending() > 0 && bits.OnesCount64(^vr.liveMask) >= refillThreshold {
 			vr.doRefill(&needLock)
 		}
 		if fast && needLock {

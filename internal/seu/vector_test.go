@@ -95,33 +95,6 @@ func TestVectorKernelMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestVectorSweepKernelMatchesVector pins the two lane kernels to each
-// other at the campaign level: the event-driven drain (KernelVector) and
-// the full-sweep settling loop (KernelVectorSweep) run the identical batch
-// machinery, so their reports must be byte-identical — at the batch-size
-// edges and with the early exit both off and on.
-func TestVectorSweepKernelMatchesVector(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		for _, maxBits := range []int64{1, 64, 0} {
-			ref := vectorCampaign(t, func(o *Options) {
-				o.Kernel = KernelVector
-				o.FastSim = fast
-				o.MaxBits = maxBits
-			})
-			got := vectorCampaign(t, func(o *Options) {
-				o.Kernel = KernelVectorSweep
-				o.FastSim = fast
-				o.MaxBits = maxBits
-			})
-			label := "vector-sweep/maxbits=" + string(rune('0'+maxBits%10))
-			if fast {
-				label += "/fast"
-			}
-			compareReports(t, label, ref, got)
-		}
-	}
-}
-
 // TestVectorKernelCounters pins the process-wide activity counters the
 // daemon exports: a vector campaign must record worklist drains and settled
 // rounds (the event drain performed work), and a fastsim vector campaign on
