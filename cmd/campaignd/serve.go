@@ -54,23 +54,14 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := campaign.Config{
+	d, err := newDaemon(campaign.Config{
 		Dir: *state, Workers: *workers, Chunks: *chunks, Blobs: blobs,
 		Retention: fabric.RetentionPolicy{MaxBlobs: fspec.RetainBlobs, MaxAge: fspec.RetainAge},
-	}
-	var coord *fabric.Coordinator
-	if fspec.Coordinator() {
-		coord, err = fabric.NewCoordinator(fabric.CoordConfig{Store: blobs, LeaseTTL: fspec.LeaseTTL})
-		if err != nil {
-			return err
-		}
-		defer coord.Close()
-		cfg.Coordinator = coord
-	}
-	sched, err := campaign.New(cfg)
+	}, *fspec)
 	if err != nil {
 		return err
 	}
+	defer d.close()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -82,41 +73,83 @@ func runServe(args []string) error {
 		}
 	}
 	mode := "single-node"
-	if coord != nil {
+	if d.coord != nil {
 		mode = "fabric coordinator"
 	}
 	fmt.Printf("campaignd listening on %s (state %s, %s)\n", bound, *state, mode)
 
-	mux := http.NewServeMux()
-	if coord != nil {
-		// Fabric API plus the embedded blob server workers default to.
-		mux.Handle("/api/v1/fabric/", fabric.Handler(coord))
-		mux.Handle("/api/v1/blobs", fabric.BlobHandler(blobs))
-		mux.Handle("/api/v1/blobs/", fabric.BlobHandler(blobs))
-	}
-	mux.Handle("/", campaign.Handler(sched))
-	srv := &http.Server{Handler: mux}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
+	go func() { errCh <- d.srv.Serve(ln) }()
 
 	select {
 	case err := <-errCh:
-		sched.Stop(*grace)
+		d.sched.Stop(*grace)
 		return err
 	case <-ctx.Done():
 	}
 	fmt.Println("campaignd: draining (checkpointing in-flight shards)")
-	// Stop the listener first so no new jobs arrive mid-drain, then drain
-	// the scheduler: in-flight chunks checkpoint and the active job
-	// re-queues for the next daemon on this state directory.
-	shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, "campaignd: http shutdown:", err)
-	}
-	sched.Stop(*grace)
+	d.drain(*grace)
 	fmt.Println("campaignd: stopped")
 	return nil
+}
+
+// daemon is one serve-mode node: the scheduler, its fabric coordinator (nil
+// on a single-node daemon), and the HTTP server in front of both.
+type daemon struct {
+	sched *campaign.Scheduler
+	coord *fabric.Coordinator
+	srv   *http.Server
+}
+
+// newDaemon wires the scheduler behind the HTTP API and, when fspec makes
+// this node a coordinator, the fabric API and embedded blob server.
+func newDaemon(cfg campaign.Config, fspec core.FabricSpec) (*daemon, error) {
+	d := &daemon{}
+	mux := http.NewServeMux()
+	if fspec.Coordinator() {
+		coord, err := fabric.NewCoordinator(fabric.CoordConfig{Store: cfg.Blobs, LeaseTTL: fspec.LeaseTTL})
+		if err != nil {
+			return nil, err
+		}
+		d.coord, cfg.Coordinator = coord, coord
+		// Fabric API plus the embedded blob server workers default to.
+		mux.Handle("/api/v1/fabric/", fabric.Handler(coord))
+		mux.Handle("/api/v1/blobs", fabric.BlobHandler(cfg.Blobs))
+		mux.Handle("/api/v1/blobs/", fabric.BlobHandler(cfg.Blobs))
+	}
+	sched, err := campaign.New(cfg)
+	if err != nil {
+		d.close()
+		return nil, err
+	}
+	d.sched = sched
+	mux.Handle("/", campaign.Handler(sched))
+	d.srv = &http.Server{Handler: mux}
+	if d.coord != nil {
+		// Shutdown waits for handlers to return; closing the coordinator
+		// releases the lease requests parked in them at once.
+		d.srv.RegisterOnShutdown(d.coord.Close)
+	}
+	return d, nil
+}
+
+// drain stops the listener first so no new jobs arrive mid-drain, then
+// drains the scheduler: in-flight chunks checkpoint and the active job
+// re-queues for the next daemon on this state directory.
+func (d *daemon) drain(grace time.Duration) {
+	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if err := d.srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		fmt.Fprintln(os.Stderr, "campaignd: http shutdown:", err)
+	}
+	d.sched.Stop(grace)
+}
+
+// close releases the coordinator, if any.
+func (d *daemon) close() {
+	if d.coord != nil {
+		d.coord.Close()
+	}
 }

@@ -8,7 +8,9 @@
 // server; point -blob at a standalone blobd (or S3-style endpoint) to keep
 // checkpoint traffic off the coordinator. A worker holds no durable state:
 // kill it at any point and its leased chunks expire and are re-issued to the
-// surviving workers with no effect on the final report.
+// surviving workers with no effect on the final report. An idle worker holds
+// a lease request open at the coordinator, which answers as soon as a chunk
+// is queued, so there is no poll interval to tune.
 package main
 
 import (
@@ -19,7 +21,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/fabric"
 )
@@ -30,7 +31,6 @@ func main() {
 		blob        = flag.String("blob", "", "blob server base URL (default: the coordinator's embedded store)")
 		name        = flag.String("name", "", "worker name advertised to the coordinator (default: hostname)")
 		slots       = flag.Int("slots", 0, "concurrent chunk slots (0 = GOMAXPROCS)")
-		poll        = flag.Duration("poll", 500*time.Millisecond, "idle lease poll interval")
 	)
 	flag.Parse()
 
@@ -41,7 +41,6 @@ func main() {
 		Blob:        *blob,
 		Name:        *name,
 		Slots:       *slots,
-		Poll:        *poll,
 	})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "campaignworker:", err)

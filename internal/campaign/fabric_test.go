@@ -78,7 +78,6 @@ func (rig *fabricRig) startWorker(name string, slots int) context.CancelFunc {
 			Coordinator: rig.srv.URL,
 			Name:        name,
 			Slots:       slots,
-			Poll:        5 * time.Millisecond,
 		})
 	}()
 	return cancel

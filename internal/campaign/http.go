@@ -2,10 +2,14 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
 )
+
+// maxSpecBytes bounds a submitted JobSpec body; a larger one answers 413.
+const maxSpecBytes = 1 << 20
 
 // Handler exposes the scheduler over HTTP:
 //
@@ -21,8 +25,12 @@ func Handler(s *Scheduler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+			code := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, fmt.Errorf("decoding spec: %w", err))
 			return
 		}
 		stat, err := s.Submit(spec)

@@ -166,6 +166,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"POST", "/api/v1/jobs", `{"kind":"seu","seu":{"design":"LFSR 18","geom":"tiny","sample":0.2,"kernel":"auto"}}`, http.StatusBadRequest},
 		{"POST", "/api/v1/jobs", `{"kind":"seu","seu":{"design":"LFSR 18","geom":"tiny","sample":0.2,"kernel":"event"}}`, http.StatusBadRequest},
 		{"POST", "/api/v1/jobs", `{"kind":"seu","seu":{"design":"LFSR 18","geom":"tiny","sample":0.2,"kernel":"vector-sweep"}}`, http.StatusBadRequest},
+		{"POST", "/api/v1/jobs", `{"kind":"seu","seu":{"design":"` + strings.Repeat("A", maxSpecBytes) + `"}}`, http.StatusRequestEntityTooLarge},
 		{"GET", "/api/v1/jobs/jdeadbeef0000", "", http.StatusNotFound},
 		{"POST", "/api/v1/jobs/jdeadbeef0000/cancel", "", http.StatusNotFound},
 		{"GET", "/api/v1/jobs/jdeadbeef0000/report", "", http.StatusNotFound},

@@ -108,7 +108,7 @@ func (s *HTTPStore) Put(b []byte) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBounded(resp.Body, maxWireBytes)
 	if err != nil {
 		return "", err
 	}
@@ -138,7 +138,7 @@ func (s *HTTPStore) Get(key string) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBlobBytes+1))
+	body, err := readBounded(resp.Body, MaxBlobBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (s *HTTPStore) List() ([]BlobInfo, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBounded(resp.Body, MaxBlobBytes) // a listing of many blobs
 	if err != nil {
 		return nil, err
 	}

@@ -95,6 +95,7 @@ func (c CoordConfig) withDefaults() CoordConfig {
 type CoordStats struct {
 	Workers             int
 	LeasesActive        int
+	LeasesParked        int // lease requests waiting for work
 	QueueDepth          int
 	LeasesIssued        uint64
 	LeasesExpired       uint64
@@ -155,17 +156,21 @@ type Coordinator struct {
 	queue   []taskKey
 	leases  map[string]*leaseState
 	nextID  uint64
+	// wake is closed (and replaced) whenever the queue grows or a worker
+	// is dropped, releasing every parked Lease to re-check.
+	wake   chan struct{}
+	parked int
 
-	issued     uint64
-	expired    uint64
-	stolen     uint64
-	committed  uint64
-	rejects    uint64
-	divergent  uint64
-	stopOnce   sync.Once
-	sweeperCtx context.Context
-	sweeperEnd context.CancelFunc
-	wg         sync.WaitGroup
+	issued    uint64
+	expired   uint64
+	stolen    uint64
+	committed uint64
+	rejects   uint64
+	divergent uint64
+	stopOnce  sync.Once
+	closed    context.Context // done once Close is called
+	markClose context.CancelFunc
+	wg        sync.WaitGroup
 }
 
 // NewCoordinator starts a coordinator (and its lease-expiry sweeper).
@@ -178,17 +183,20 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 		workers: make(map[string]*workerState),
 		jobs:    make(map[string]*jobState),
 		leases:  make(map[string]*leaseState),
+		wake:    make(chan struct{}),
 	}
-	c.sweeperCtx, c.sweeperEnd = context.WithCancel(context.Background())
+	c.closed, c.markClose = context.WithCancel(context.Background())
 	c.wg.Add(1)
 	go c.sweeper()
 	return c, nil
 }
 
-// Close stops the expiry sweeper. Jobs still waiting in RunJob keep
-// waiting on their contexts; call Close only after the scheduler drained.
+// Close stops the expiry sweeper and releases every parked Lease; later
+// leases fail with ErrClosed. Jobs still waiting in RunJob keep waiting on
+// their contexts. A daemon closes its coordinator when its drain starts, so
+// parked lease requests do not hold up the HTTP shutdown.
 func (c *Coordinator) Close() {
-	c.stopOnce.Do(c.sweeperEnd)
+	c.stopOnce.Do(c.markClose)
 	c.wg.Wait()
 }
 
@@ -229,12 +237,56 @@ func (c *Coordinator) Heartbeat(worker string) error {
 	return nil
 }
 
-// Lease issues the next pending chunk to worker, or nil when the queue is
-// empty.
-func (c *Coordinator) Lease(worker string) (*Lease, error) {
+// ErrClosed answers a lease request to a closed coordinator.
+var ErrClosed = fmt.Errorf("fabric: coordinator closed")
+
+// Lease issues the next pending chunk to worker. When the queue is empty it
+// parks until work is queued, ctx ends, the coordinator closes or wait
+// elapses, and returns a nil lease if none arrived; wait <= 0 returns at
+// once.
+func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Duration) (*Lease, error) {
+	var timeout <-chan time.Time
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		timeout = t.C
+	}
+	for {
+		if c.closed.Err() != nil {
+			return nil, ErrClosed
+		}
+		if ctx.Err() != nil { // the requester left; issue it nothing
+			return nil, nil
+		}
+		c.mu.Lock()
+		l, err := c.leaseLocked(worker)
+		if l != nil || err != nil || wait <= 0 {
+			c.mu.Unlock()
+			return l, err
+		}
+		wake := c.wake
+		c.parked++
+		c.mu.Unlock()
+		timedOut := false
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		case <-c.closed.Done():
+		case <-timeout:
+			timedOut = true
+		}
+		c.mu.Lock()
+		c.parked--
+		c.mu.Unlock()
+		if timedOut {
+			return nil, nil
+		}
+	}
+}
+
+// leaseLocked dequeues the next live chunk for worker, or returns nil.
+func (c *Coordinator) leaseLocked(worker string) (*Lease, error) {
 	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	ws, ok := c.workers[worker]
 	if !ok {
 		return nil, ErrUnknownWorker
@@ -315,7 +367,7 @@ func (c *Coordinator) Complete(worker, leaseID, blobKey, workerErr string) (Comp
 			j.finish(err)
 			return CompleteReply{Accepted: true}, nil
 		}
-		c.queue = append(c.queue, ls.key)
+		c.enqueueLocked(ls.key)
 		c.mu.Unlock()
 		return CompleteReply{Accepted: true}, nil
 	}
@@ -344,7 +396,7 @@ func (c *Coordinator) Complete(worker, leaseID, blobKey, workerErr string) (Comp
 			j.finish(err)
 			return CompleteReply{Rejected: true, Reason: verr.Error()}, nil
 		}
-		c.queue = append(c.queue, ls.key)
+		c.enqueueLocked(ls.key)
 		c.mu.Unlock()
 		return CompleteReply{Rejected: true, Reason: verr.Error()}, nil
 	}
@@ -436,6 +488,7 @@ func (c *Coordinator) RunJob(ctx context.Context, id string, spec core.CampaignS
 		j.chunks[cs.Index] = cs
 		c.queue = append(c.queue, taskKey{job: id, index: cs.Index})
 	}
+	c.wakeLocked()
 	c.mu.Unlock()
 	defer func() {
 		c.mu.Lock()
@@ -457,6 +510,7 @@ func (c *Coordinator) Stats() CoordStats {
 	return CoordStats{
 		Workers:             len(c.workers),
 		LeasesActive:        len(c.leases),
+		LeasesParked:        c.parked,
 		QueueDepth:          len(c.queue),
 		LeasesIssued:        c.issued,
 		LeasesExpired:       c.expired,
@@ -487,7 +541,19 @@ func (c *Coordinator) expireLeaseLocked(ls *leaseState) {
 		return
 	}
 	j.reissued[ls.key.index] = true
-	c.queue = append(c.queue, ls.key)
+	c.enqueueLocked(ls.key)
+}
+
+// enqueueLocked queues a chunk and wakes the parked leases.
+func (c *Coordinator) enqueueLocked(k taskKey) {
+	c.queue = append(c.queue, k)
+	c.wakeLocked()
+}
+
+// wakeLocked releases every parked Lease to re-check the queue.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // sweeper expires overdue leases and silent workers.
@@ -498,7 +564,7 @@ func (c *Coordinator) sweeper() {
 	for {
 		select {
 		case <-tick.C:
-		case <-c.sweeperCtx.Done():
+		case <-c.closed.Done():
 			return
 		}
 		now := time.Now()
@@ -516,6 +582,7 @@ func (c *Coordinator) sweeper() {
 					}
 				}
 				delete(c.workers, id)
+				c.wakeLocked() // a parked lease of the dropped worker must learn it
 			}
 		}
 		c.mu.Unlock()

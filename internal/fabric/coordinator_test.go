@@ -121,7 +121,7 @@ func TestLeaseRunCommitLifecycle(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for i := 0; i < len(chunks); i++ {
-		lease, err := c.Lease(reg.Worker)
+		lease, err := c.Lease(context.Background(), reg.Worker, 0)
 		if err != nil || lease == nil {
 			t.Fatalf("lease %d: (%v, %v)", i, lease, err)
 		}
@@ -139,7 +139,7 @@ func TestLeaseRunCommitLifecycle(t *testing.T) {
 	if len(jr.commits) != len(chunks) {
 		t.Fatalf("committed %d chunks, want %d", len(jr.commits), len(chunks))
 	}
-	if lease, err := c.Lease(reg.Worker); err != nil || lease != nil {
+	if lease, err := c.Lease(context.Background(), reg.Worker, 0); err != nil || lease != nil {
 		t.Fatalf("queue should be empty, got (%v, %v)", lease, err)
 	}
 	st := c.Stats()
@@ -153,7 +153,7 @@ func TestUnknownWorkerMustReregister(t *testing.T) {
 	if err := c.Heartbeat("w999999"); err != ErrUnknownWorker {
 		t.Fatalf("heartbeat for stranger = %v, want ErrUnknownWorker", err)
 	}
-	if _, err := c.Lease("w999999"); err != ErrUnknownWorker {
+	if _, err := c.Lease(context.Background(), "w999999", 0); err != ErrUnknownWorker {
 		t.Fatalf("lease for stranger = %v, want ErrUnknownWorker", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestLeaseExpiryStealsChunk(t *testing.T) {
 
 	slow := c.Register("slow", 1)
 	thief := c.Register("thief", 1)
-	lease, err := c.Lease(slow.Worker)
+	lease, err := c.Lease(context.Background(), slow.Worker, 0)
 	if err != nil || lease == nil {
 		t.Fatalf("lease: (%v, %v)", lease, err)
 	}
@@ -184,7 +184,7 @@ func TestLeaseExpiryStealsChunk(t *testing.T) {
 	var stolen *Lease
 	deadline := time.After(5 * time.Second)
 	for stolen == nil {
-		l, err := c.Lease(thief.Worker)
+		l, err := c.Lease(context.Background(), thief.Worker, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestSilentWorkerDropped(t *testing.T) {
 	waitQueue(t, c, len(chunks))
 
 	dead := c.Register("dead", 1)
-	if _, err := c.Lease(dead.Worker); err != nil {
+	if _, err := c.Lease(context.Background(), dead.Worker, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,7 +248,7 @@ func TestSilentWorkerDropped(t *testing.T) {
 		if err := c.Heartbeat(live.Worker); err != nil {
 			t.Fatal(err)
 		}
-		l, err := c.Lease(live.Worker)
+		l, err := c.Lease(context.Background(), live.Worker, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestCompleteRejectsInvalidResults(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		lease, err := c.Lease(reg.Worker)
+		lease, err := c.Lease(context.Background(), reg.Worker, 0)
 		if err != nil || lease == nil {
 			t.Fatalf("%s: lease = (%v, %v)", tc.name, lease, err)
 		}
@@ -320,7 +320,7 @@ func TestCompleteRejectsInvalidResults(t *testing.T) {
 	// After every rejection the chunk is still completable. Note the honest
 	// re-Put repairs the entry the corrupt-blob case poisoned — same bytes,
 	// same key, verify-then-overwrite — with no manual store surgery.
-	lease, err := c.Lease(reg.Worker)
+	lease, err := c.Lease(context.Background(), reg.Worker, 0)
 	if err != nil || lease == nil {
 		t.Fatalf("final lease = (%v, %v)", lease, err)
 	}
@@ -341,7 +341,7 @@ func TestRepeatedValidationRejectsFailJob(t *testing.T) {
 	reg := c.Register("node", 1)
 	wrong := seu.ChunkSpec{Index: 99, Lo: 0, Hi: 1}
 	for i := 0; i < 2; i++ {
-		lease, err := c.Lease(reg.Worker)
+		lease, err := c.Lease(context.Background(), reg.Worker, 0)
 		if err != nil || lease == nil {
 			t.Fatalf("lease %d: (%v, %v)", i, lease, err)
 		}
@@ -368,7 +368,7 @@ func TestRepeatedWorkerErrorsFailJob(t *testing.T) {
 	waitQueue(t, c, 1)
 	reg := c.Register("node", 1)
 	for i := 0; i < 2; i++ {
-		lease, err := c.Lease(reg.Worker)
+		lease, err := c.Lease(context.Background(), reg.Worker, 0)
 		if err != nil || lease == nil {
 			t.Fatalf("lease %d: (%v, %v)", i, lease, err)
 		}
@@ -398,7 +398,7 @@ func TestDuplicateCommitIdempotent(t *testing.T) {
 	waitQueue(t, c, len(chunks))
 	reg := c.Register("node", 1)
 
-	lease, err := c.Lease(reg.Worker)
+	lease, err := c.Lease(context.Background(), reg.Worker, 0)
 	if err != nil || lease == nil {
 		t.Fatalf("lease: (%v, %v)", lease, err)
 	}
@@ -473,7 +473,7 @@ func TestRunJobCancellationWithdraws(t *testing.T) {
 	}()
 	waitQueue(t, c, len(chunks))
 	reg := c.Register("node", 1)
-	lease, err := c.Lease(reg.Worker)
+	lease, err := c.Lease(context.Background(), reg.Worker, 0)
 	if err != nil || lease == nil {
 		t.Fatalf("lease: (%v, %v)", lease, err)
 	}
@@ -504,7 +504,7 @@ func TestRunJobCancellationWithdraws(t *testing.T) {
 		var lease *Lease
 		deadline := time.After(5 * time.Second)
 		for lease == nil {
-			l, err := c.Lease(reg.Worker)
+			l, err := c.Lease(context.Background(), reg.Worker, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"time"
 )
 
 // Wire types of the coordinator API. Workers speak JSON over four routes:
@@ -14,8 +16,22 @@ import (
 //	POST /api/v1/fabric/lease      — LeaseRequest → LeaseReply (lease null when idle)
 //	POST /api/v1/fabric/complete   — CompleteRequest → CompleteReply
 //
+// A lease request is a long poll: when the queue is empty it parks until a
+// chunk is queued, the client goes away, or leaseWait (10 s) passes, and
+// only then answers a null lease. The cap stays well below the worker
+// client's 30 s timeout. A closed (draining) coordinator answers 503.
+//
 // An unknown worker ID answers 404; the worker re-registers and retries —
-// registration is soft state the coordinator may drop at any time.
+// registration is soft state the coordinator may drop at any time. Request
+// bodies and the replies workers read are capped at maxWireBytes; an
+// oversized request answers 413.
+
+// leaseWait caps how long a lease request parks waiting for work.
+const leaseWait = 10 * time.Second
+
+// maxWireBytes bounds one coordinator request body or reply (a lease carries
+// one campaign spec and chunk, well under a kilobyte).
+const maxWireBytes = 1 << 20
 
 // RegisterRequest announces a worker and its capacity.
 type RegisterRequest struct {
@@ -71,16 +87,14 @@ func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/fabric/register", func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fabricError(w, http.StatusBadRequest, err)
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		writeFabricJSON(w, http.StatusOK, c.Register(req.Name, req.CPUs))
 	})
 	mux.HandleFunc("POST /api/v1/fabric/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fabricError(w, http.StatusBadRequest, err)
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		if err := c.Heartbeat(req.Worker); err != nil {
@@ -91,21 +105,23 @@ func Handler(c *Coordinator) http.Handler {
 	})
 	mux.HandleFunc("POST /api/v1/fabric/lease", func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fabricError(w, http.StatusBadRequest, err)
+		if !decodeRequest(w, r, &req) {
 			return
 		}
-		lease, err := c.Lease(req.Worker)
+		lease, err := c.Lease(r.Context(), req.Worker, leaseWait)
 		if err != nil {
-			fabricError(w, http.StatusNotFound, err)
+			code := http.StatusNotFound
+			if errors.Is(err, ErrClosed) {
+				code = http.StatusServiceUnavailable
+			}
+			fabricError(w, code, err)
 			return
 		}
 		writeFabricJSON(w, http.StatusOK, LeaseReply{Lease: lease})
 	})
 	mux.HandleFunc("POST /api/v1/fabric/complete", func(w http.ResponseWriter, r *http.Request) {
 		var req CompleteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			fabricError(w, http.StatusBadRequest, err)
+		if !decodeRequest(w, r, &req) {
 			return
 		}
 		reply, err := c.Complete(req.Worker, req.Lease, req.Blob, req.Error)
@@ -123,6 +139,30 @@ func Handler(c *Coordinator) http.Handler {
 		writeFabricJSON(w, http.StatusOK, c.Stats())
 	})
 	return mux
+}
+
+// decodeRequest decodes a JSON request body of at most maxWireBytes. On
+// failure it answers 413 (too large) or 400 itself and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	fabricError(w, code, err)
+	return false
+}
+
+// readBounded reads all of r, failing when it holds more than limit bytes.
+func readBounded(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err == nil && int64(len(b)) > limit {
+		err = fmt.Errorf("fabric: reply exceeds %d bytes", limit)
+	}
+	return b, err
 }
 
 func writeFabricJSON(w http.ResponseWriter, code int, v any) {

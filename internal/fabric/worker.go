@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -38,9 +37,6 @@ type WorkerOptions struct {
 	Name string
 	// Slots is the number of chunks run concurrently (<= 0 = GOMAXPROCS).
 	Slots int
-	// Poll is the idle re-poll interval when the queue is empty
-	// (<= 0 = 500ms).
-	Poll time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
 }
@@ -57,9 +53,6 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	}
 	if opt.Slots <= 0 {
 		opt.Slots = runtime.GOMAXPROCS(0)
-	}
-	if opt.Poll <= 0 {
-		opt.Poll = 500 * time.Millisecond
 	}
 	if opt.Client == nil {
 		opt.Client = &http.Client{Timeout: 30 * time.Second}
@@ -88,6 +81,12 @@ func RunWorker(ctx context.Context, opt WorkerOptions) error {
 	return nil
 }
 
+// errorBackoff is how long a worker waits before retrying a coordinator
+// request that failed. It also paces lease requests a coordinator answers
+// empty at once (one that does not long poll), so an idle worker never
+// spins.
+const errorBackoff = 250 * time.Millisecond
+
 type workerAgent struct {
 	opt   WorkerOptions
 	blobs *HTTPStore
@@ -104,20 +103,26 @@ func (w *workerAgent) workerID() string {
 	return w.id
 }
 
-// post sends a JSON request to the coordinator. A 404 means the
-// registration lapsed — ErrUnknownWorker for callers to re-register on.
-func (w *workerAgent) post(path string, req, reply any) error {
+// post sends a JSON request to the coordinator; cancelling ctx aborts it,
+// parked lease included. A 404 means the registration lapsed —
+// ErrUnknownWorker for callers to re-register on.
+func (w *workerAgent) post(ctx context.Context, path string, req, reply any) error {
 	b, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	url := strings.TrimRight(w.opt.Coordinator, "/") + path
-	resp, err := w.opt.Client.Post(url, "application/json", bytes.NewReader(b))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(b))
+	if err != nil {
+		return err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := w.opt.Client.Do(hreq)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBounded(resp.Body, maxWireBytes)
 	if err != nil {
 		return err
 	}
@@ -133,9 +138,9 @@ func (w *workerAgent) post(path string, req, reply any) error {
 	return json.Unmarshal(body, reply)
 }
 
-func (w *workerAgent) register() error {
+func (w *workerAgent) register(ctx context.Context) error {
 	var reply RegisterReply
-	err := w.post("/api/v1/fabric/register", RegisterRequest{
+	err := w.post(ctx, "/api/v1/fabric/register", RegisterRequest{
 		Name: w.opt.Name, CPUs: runtime.GOMAXPROCS(0),
 	}, &reply)
 	if err != nil {
@@ -152,12 +157,12 @@ func (w *workerAgent) register() error {
 // registerUntil retries registration until it lands or ctx ends.
 func (w *workerAgent) registerUntil(ctx context.Context) error {
 	for {
-		err := w.register()
+		err := w.register(ctx)
 		if err == nil {
 			return nil
 		}
 		select {
-		case <-time.After(w.opt.Poll):
+		case <-time.After(errorBackoff):
 		case <-ctx.Done():
 			return fmt.Errorf("fabric: registering with %s: %w (last: %v)", w.opt.Coordinator, ctx.Err(), err)
 		}
@@ -177,34 +182,43 @@ func (w *workerAgent) heartbeatLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		}
-		err := w.post("/api/v1/fabric/heartbeat", HeartbeatRequest{Worker: w.workerID()}, nil)
+		err := w.post(ctx, "/api/v1/fabric/heartbeat", HeartbeatRequest{Worker: w.workerID()}, nil)
 		if err == ErrUnknownWorker {
-			_ = w.register() // dropped (e.g. a delayed heartbeat); rejoin
+			_ = w.register(ctx) // dropped (e.g. a delayed heartbeat); rejoin
 		}
 	}
 }
 
-// slotLoop leases and runs chunks on one execution slot.
+// slotLoop leases and runs chunks on one execution slot. The coordinator
+// parks an idle lease request until work arrives, so an empty reply is
+// re-sent at once; a failed one waits errorBackoff.
 func (w *workerAgent) slotLoop(ctx context.Context) {
 	var cache *slotRunner
 	for ctx.Err() == nil {
 		var reply LeaseReply
-		err := w.post("/api/v1/fabric/lease", LeaseRequest{Worker: w.workerID()}, &reply)
+		start := time.Now()
+		err := w.post(ctx, "/api/v1/fabric/lease", LeaseRequest{Worker: w.workerID()}, &reply)
 		if err == ErrUnknownWorker {
 			if err := w.registerUntil(ctx); err != nil {
 				return
 			}
 			continue
 		}
-		if err != nil || reply.Lease == nil {
+		if err == nil && reply.Lease != nil {
+			w.runLease(ctx, reply.Lease, &cache)
+			continue
+		}
+		pause := errorBackoff
+		if err == nil {
+			pause -= time.Since(start) // a long poll that waited re-leases at once
+		}
+		if pause > 0 {
 			select {
-			case <-time.After(w.opt.Poll):
+			case <-time.After(pause):
 			case <-ctx.Done():
 				return
 			}
-			continue
 		}
-		w.runLease(ctx, reply.Lease, &cache)
 	}
 }
 
@@ -239,12 +253,12 @@ func (w *workerAgent) runLease(ctx context.Context, lease *Lease, cache **slotRu
 	deadline := time.Now().Add(w.leaseTTL())
 	for {
 		var reply CompleteReply
-		cerr := w.post("/api/v1/fabric/complete", req, &reply)
+		cerr := w.post(ctx, "/api/v1/fabric/complete", req, &reply)
 		if cerr == nil || cerr == ErrUnknownWorker || time.Now().After(deadline) || ctx.Err() != nil {
 			return
 		}
 		select {
-		case <-time.After(w.opt.Poll):
+		case <-time.After(errorBackoff):
 		case <-ctx.Done():
 			return
 		}
