@@ -188,14 +188,17 @@ func (vb *VectorBoard) FailedOutputs(lane int) []int {
 	return out
 }
 
-// LockedWord returns the lanes provably in lock-step: bit i set iff lane
-// i's golden and DUT state words are identical everywhere. For lanes whose
-// overlay has been removed (configuration golden by construction) this is
-// exactly the scalar Locked condition restricted to the lane. Lanes the
-// event kernel froze at the MaxSweeps bound are excluded — their pending
-// worklists encode future behaviour the visible state comparison cannot
-// see, the lane image of the scalar EventBacklog gate.
-func (vb *VectorBoard) LockedWord() uint64 {
-	lw := ^fpga.DivergenceWord(vb.Golden, vb.DUT) & vb.full
-	return lw &^ (vb.Golden.FrozenLanes() | vb.DUT.FrozenLanes())
+// LockedWord returns the lanes of mask provably in lock-step: bit i set iff
+// lane i is in mask and its golden and DUT state words are identical
+// everywhere. For lanes whose overlay has been removed (configuration
+// golden by construction) this is exactly the scalar Locked condition
+// restricted to the lane. Lanes the event kernel froze at the MaxSweeps
+// bound are excluded — their pending worklists encode future behaviour the
+// visible state comparison cannot see, the lane image of the scalar
+// EventBacklog gate. Only the lanes of mask are compared, and the scan
+// stops once all of them are shown divergent (fpga.DivergenceMasked), so
+// the caller passes just the lanes it can retire.
+func (vb *VectorBoard) LockedWord(mask uint64) uint64 {
+	mask &= vb.full &^ (vb.Golden.FrozenLanes() | vb.DUT.FrozenLanes())
+	return mask &^ fpga.DivergenceMasked(vb.Golden, vb.DUT, mask)
 }

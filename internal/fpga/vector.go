@@ -961,3 +961,40 @@ func DivergenceWord(a, b *Vector) uint64 {
 	}
 	return d
 }
+
+// DivergenceMasked is DivergenceWord restricted to the lanes in mask: for
+// every lane i in mask, bit i of the result is set iff lane i of a and b
+// differ anywhere; lanes outside mask read 0. The scan stops as soon as
+// every masked lane is shown divergent, visiting flip-flop words first
+// (where a repaired lane's lingering corruption lives), then LUT outputs,
+// then nets — so a lock-step check over lanes that have not converged
+// costs a few words instead of the whole state. DivergenceWord is its
+// full-scan oracle.
+func DivergenceMasked(a, b *Vector, mask uint64) uint64 {
+	d := divergeScan(a.ff, b.ff, 0, mask)
+	d = divergeScan(a.lut, b.lut, d, mask)
+	d = divergeScan(a.state, b.state, d, mask)
+	return d & mask
+}
+
+// divergeScan ORs the lane-wise XOR of a and b into d, eight words at a
+// time, returning as soon as d covers mask.
+func divergeScan(a, b []uint64, d, mask uint64) uint64 {
+	if d&mask == mask {
+		return d
+	}
+	b = b[:len(a)]
+	for len(a) >= 8 {
+		// ^ and | share a precedence level in Go: parenthesize each XOR.
+		d |= (a[0] ^ b[0]) | (a[1] ^ b[1]) | (a[2] ^ b[2]) | (a[3] ^ b[3]) |
+			(a[4] ^ b[4]) | (a[5] ^ b[5]) | (a[6] ^ b[6]) | (a[7] ^ b[7])
+		if d&mask == mask {
+			return d
+		}
+		a, b = a[8:], b[8:]
+	}
+	for i, w := range a {
+		d |= w ^ b[i]
+	}
+	return d
+}

@@ -192,6 +192,14 @@ func checkVectorAgainstScalars(t *testing.T, seed int64, lanes, maxSweeps int) {
 					seed, step, i, dw>>uint(i)&1 == 1, scalarDiff)
 			}
 		}
+		// The early-exit scan must agree with the full scan on every
+		// masked lane, whatever mix of diverged and converged lanes the
+		// mask holds.
+		for _, m := range []uint64{1, 1 << 63, ^uint64(0), dw, ^dw, rng.Uint64(), uint64(1) << uint(rng.Intn(64))} {
+			if got := DivergenceMasked(gv, dv, m); got != dw&m {
+				t.Fatalf("seed %d step %d: DivergenceMasked(%#x) = %#x, full scan says %#x", seed, step, m, got, dw&m)
+			}
+		}
 	}
 }
 

@@ -83,7 +83,7 @@ func mergeInto(rep *Report, acc *shardAccum) {
 // so chunk results stay a pure function of their spec.
 func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, lo, hi int64, opts Options, acc *shardAccum, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner, plan *prePlan) error {
 	if vr != nil {
-		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, acc, fs, fast, vr)
+		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, acc, tri, fs, fast, vr)
 	}
 	g := bd.Geometry()
 	for a := device.BitAddr(lo); int64(a) < hi; a++ {
@@ -119,54 +119,42 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 }
 
 // runPlannedRange is the vector-kernel image of runRange: instead of
-// re-classifying every address, it walks the pre-plan's entries for
-// [lo, hi) and dispatches on each entry's precomputed disposition. The
-// planner never runs here — classification happened exactly once per
-// sampled bit, in buildPrePlan.
-func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, acc *shardAccum, fs *frameScrub, fast bool, vr *vectorRunner) error {
+// re-classifying every address, it folds the window's injection tallies
+// from the pre-plan and walks only the entries for [lo, hi) that need board
+// work, dispatching on each entry's precomputed disposition. The planner
+// never runs here — classification happened exactly once per sampled bit,
+// in buildPrePlan.
+func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, acc *shardAccum, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner) error {
+	kinds, triaged := plan.tally(lo, hi, opts, bd.Geometry(), tri)
+	for k, n := range kinds {
+		if n != 0 {
+			acc.injections += n
+			acc.injByKind[device.BitKind(k)] += n
+			acc.simTime += time.Duration(n) * board.InjectLoopTime
+		}
+	}
+	acc.triageSkipped += triaged
 	entries := plan.window(lo, hi)
 	for i := range entries {
 		e := &entries[i]
-		// Retired entries (pad/triage/benign) cost no board work; amortize
-		// their cancellation checks like the scalar loop does for skips.
-		if i&0xFF == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		acc.injections++
-		acc.injByKind[e.kind]++
-		acc.simTime += board.InjectLoopTime
 		switch e.act {
-		case planPad, planBenign:
-			// Provably benign without board activity.
-		case planTriage:
-			acc.triageSkipped++
 		case planVector:
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			vr.enqueueVector(e)
-			if vr.shouldFlush() {
-				vr.flush(opts, acc, fast)
-			}
 		case planCarry:
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := vr.enqueueCarry(bd, golden, e, opts, acc, fs); err != nil {
 				return err
 			}
-			if vr.shouldFlush() {
-				vr.flush(opts, acc, fast)
-			}
 		case planScalar:
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, acc, fs, fast); err != nil {
 				return err
 			}
+			continue
+		}
+		if vr.shouldFlush() {
+			vr.flush(opts, acc, fast)
 		}
 	}
 	vr.flush(opts, acc, fast)

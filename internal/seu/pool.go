@@ -13,7 +13,9 @@ import (
 // allocation churn — a replica that finished a campaign cleanly is, after
 // the per-injection ResetCampaignState, indistinguishable from a fresh
 // clone. The pool parks such replicas keyed by placement and reuses them
-// when a later campaign of the same design asks for workers.
+// when a later campaign of the same design asks for workers; only the
+// maxCachedPlacements most recently used placements keep a pool
+// (placecache.go).
 //
 // Soundness: reuse must never leak state between campaigns, so
 //   - entries carry the base board's CampaignFingerprint (configuration +
@@ -26,8 +28,6 @@ import (
 //   - history-coupled designs (SRL16, writable BRAM, stuck overlays)
 //     never pool: their configuration memory drifts during simulation, so
 //     a "clean completion" does not imply a golden substrate.
-
-var replicaPools sync.Map // map[*place.Placed]*sync.Pool of *pooledReplica
 
 type pooledReplica struct {
 	bd  *board.SLAAC1V
@@ -49,10 +49,9 @@ func acquireReplica(base *board.SLAAC1V, tag uint64, seed int64) *board.SLAAC1V 
 		poolMisses.Add(1)
 		return base.Clone(seed)
 	}
-	if p, ok := replicaPools.Load(base.Placed); ok {
-		pool := p.(*sync.Pool)
+	if st := placementFor(base.Placed, false); st != nil {
 		for {
-			e, _ := pool.Get().(*pooledReplica)
+			e, _ := st.pool.Get().(*pooledReplica)
 			if e == nil {
 				break
 			}
@@ -73,15 +72,13 @@ func releaseReplica(wb *board.SLAAC1V, tag uint64, clean bool) {
 	if !clean || !poolEligible(wb) {
 		return
 	}
-	p, _ := replicaPools.LoadOrStore(wb.Placed, &sync.Pool{})
-	p.(*sync.Pool).Put(&pooledReplica{bd: wb, tag: tag})
+	placementFor(wb.Placed, true).pool.Put(&pooledReplica{bd: wb, tag: tag})
 }
 
 // replicaPoolFor exposes pool internals to tests.
 func replicaPoolFor(p *place.Placed) *sync.Pool {
-	v, _ := replicaPools.Load(p)
-	if v == nil {
-		return nil
+	if st := placementFor(p, false); st != nil {
+		return &st.pool
 	}
-	return v.(*sync.Pool)
+	return nil
 }

@@ -131,6 +131,11 @@ type vectorRunner struct {
 
 	lanes    [64]laneRun
 	liveMask uint64
+	// lockMask holds the lanes past their repair (clean-run or persistence
+	// phase) — the only lanes the lock-step early exit can retire, so the
+	// only ones the divergence scan must examine. Bits of retired lanes may
+	// linger; readers intersect it with liveMask.
+	lockMask uint64
 	done     []laneRun // retired, awaiting emit
 	seeds    [64]int64
 	snapFree []*fpga.VectorSnapshot
@@ -256,12 +261,13 @@ func (vr *vectorRunner) flush(opts Options, acc *shardAccum, fast bool) {
 }
 
 // install boards the next queued entry on lane i (whose state is already at
-// the canonical snapshot via StartBatch or RefillLanes) and flags needLock
-// if the lane enters a post-repair phase.
-func (vr *vectorRunner) install(i int, needLock *bool) {
+// the canonical snapshot via StartBatch or RefillLanes) and adds the lane
+// to lockMask if it enters a post-repair phase.
+func (vr *vectorRunner) install(i int) {
 	p := vr.pop()
 	vr.lanes[i] = laneRun{addr: p.addr, kind: p.kind, delta: p.delta, firstErr: -1, preCycles: p.preCycles}
 	vr.liveMask |= 1 << uint(i)
+	vr.lockMask &^= 1 << uint(i)
 	if !p.carry {
 		vr.vb.DUT.ApplyDelta(i, p.delta)
 		return
@@ -284,7 +290,7 @@ func (vr *vectorRunner) install(i int, needLock *bool) {
 	} else {
 		ln.phase = lanePhaseClean
 	}
-	*needLock = true
+	vr.lockMask |= 1 << uint(i)
 }
 
 // retire takes lane i off the board: its stimulus and state freeze (never
@@ -296,7 +302,7 @@ func (vr *vectorRunner) retire(i int) {
 }
 
 // startGeneration seeds a fresh batch of up to 64 queued entries.
-func (vr *vectorRunner) startGeneration(needLock *bool) {
+func (vr *vectorRunner) startGeneration() {
 	n := vr.pending()
 	if n > 64 {
 		n = 64
@@ -307,16 +313,16 @@ func (vr *vectorRunner) startGeneration(needLock *bool) {
 	}
 	vr.vb.StartBatch(vr.seeds[:n])
 	vr.liveMask = 0
-	*needLock = false
+	vr.lockMask = 0
 	for i := 0; i < n; i++ {
-		vr.install(i, needLock)
+		vr.install(i)
 	}
 }
 
 // doRefill restores retired lanes to the canonical state and boards the
 // next queued entries on them — the mid-batch occupancy pump. Lanes fill in
 // ascending index order, pairing with RefillLanes' ascending-mask seeding.
-func (vr *vectorRunner) doRefill(needLock *bool) {
+func (vr *vectorRunner) doRefill() {
 	n := vr.pending()
 	idle := ^vr.liveMask
 	if k := bits.OnesCount64(idle); n > k {
@@ -334,7 +340,7 @@ func (vr *vectorRunner) doRefill(needLock *bool) {
 	vr.vb.RefillLanes(mask, vr.seeds[:n])
 	vectorLanesRefilled.Add(int64(n))
 	for rest, j := mask, 0; rest != 0; rest, j = rest&(rest-1), j+1 {
-		vr.install(bits.TrailingZeros64(rest), needLock)
+		vr.install(bits.TrailingZeros64(rest))
 	}
 }
 
@@ -342,20 +348,18 @@ func (vr *vectorRunner) doRefill(needLock *bool) {
 // lanes, with retired lanes refilled from the queue mid-generation (refill
 // amortizes its masked canonical copy over refillThreshold lanes).
 func (vr *vectorRunner) runQueue(opts Options, fast bool) {
-	// needLock tracks whether any live lane is past its repair — the only
-	// phases where the scalar path consults Locked. Overlay lanes start in
-	// observation (overlay active, lock impossible); carried lanes enter
-	// directly in a post-repair phase.
-	needLock := false
+	// The lock-step check covers only the live lanes past their repair —
+	// the only phases where the scalar path consults Locked. Overlay lanes
+	// start in observation (overlay active, lock impossible); carried lanes
+	// enter directly in a post-repair phase.
 	for vr.pending() > 0 || vr.liveMask != 0 {
 		if vr.liveMask == 0 {
-			vr.startGeneration(&needLock)
+			vr.startGeneration()
 		} else if vr.pending() > 0 && bits.OnesCount64(^vr.liveMask) >= refillThreshold {
-			vr.doRefill(&needLock)
+			vr.doRefill()
 		}
-		if fast && needLock {
-			lw := vr.vb.LockedWord() & vr.liveMask
-			for rest := lw; rest != 0; rest &= rest - 1 {
+		if lock := vr.lockMask & vr.liveMask; fast && lock != 0 {
+			for rest := vr.vb.LockedWord(lock); rest != 0; rest &= rest - 1 {
 				i := bits.TrailingZeros64(rest)
 				ln := &vr.lanes[i]
 				switch ln.phase {
@@ -379,7 +383,7 @@ func (vr *vectorRunner) runQueue(opts Options, fast bool) {
 			}
 		}
 		mm := vr.vb.Step()
-		needLock = false
+		vr.lockMask = 0
 		for rest := vr.liveMask; rest != 0; rest &= rest - 1 {
 			i := bits.TrailingZeros64(rest)
 			ln := &vr.lanes[i]
@@ -421,7 +425,7 @@ func (vr *vectorRunner) runQueue(opts Options, fast bool) {
 			if ln.phase == lanePhaseDone {
 				vr.retire(i)
 			} else if ln.phase == lanePhaseClean || ln.phase == lanePhasePersist {
-				needLock = true
+				vr.lockMask |= 1 << uint(i)
 			}
 		}
 	}
