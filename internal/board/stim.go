@@ -35,12 +35,12 @@ import (
 )
 
 const (
-	stimLen  = 607              // rngLen: words of lagged-Fibonacci state
-	stimTap  = 273              // rngTap: short lag
-	stimMask = 1<<63 - 1        // rngMask: Int63 truncation
-	lcgM     = (1 << 31) - 1    // Lehmer modulus 2^31-1 (prime)
-	lcgA     = 48271            // Lehmer multiplier
-	stimLazy = stimTap          // draws servable straight from initial state
+	stimLen  = 607           // rngLen: words of lagged-Fibonacci state
+	stimTap  = 273           // rngTap: short lag
+	stimMask = 1<<63 - 1     // rngMask: Int63 truncation
+	lcgM     = (1 << 31) - 1 // Lehmer modulus 2^31-1 (prime)
+	lcgA     = 48271         // Lehmer multiplier
+	stimLazy = stimTap       // draws servable straight from initial state
 	// lcgSteps is the deepest LCG iterate seeding consumes: 20 warmup steps
 	// plus 3 per vector word, ending at x[20+3*607] = x[1841].
 	lcgSteps = 20 + 3*stimLen

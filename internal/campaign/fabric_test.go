@@ -18,20 +18,20 @@ import (
 
 // fabricRig is a whole distributed deployment in one process: a coordinator
 // with an embedded blob server (what `campaignd -fabric=coordinator` runs),
-// the scheduler wired through it, and in-process worker nodes speaking the
+// schedulers wired through it, and in-process worker nodes speaking the
 // real HTTP protocol against an httptest listener.
 type fabricRig struct {
 	store *fabric.MemStore
 	coord *fabric.Coordinator
 	srv   *httptest.Server
-	sched *Scheduler
 
 	mu      sync.Mutex
+	scheds  []*Scheduler
 	cancels []context.CancelFunc
 	wg      sync.WaitGroup
 }
 
-func newFabricRig(t *testing.T, dir string, leaseTTL time.Duration) *fabricRig {
+func newFabricRig(t *testing.T, leaseTTL time.Duration) *fabricRig {
 	t.Helper()
 	store := fabric.NewMemStore()
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
@@ -47,21 +47,35 @@ func newFabricRig(t *testing.T, dir string, leaseTTL time.Duration) *fabricRig {
 	mux.Handle("/api/v1/blobs", fabric.BlobHandler(store))
 	mux.Handle("/api/v1/blobs/", fabric.BlobHandler(store))
 	srv := httptest.NewServer(mux)
-	sched, err := New(Config{Dir: dir, Workers: 1, Blobs: store, Coordinator: coord})
-	if err != nil {
-		srv.Close()
-		coord.Close()
-		t.Fatal(err)
-	}
-	rig := &fabricRig{store: store, coord: coord, srv: srv, sched: sched}
+	rig := &fabricRig{store: store, coord: coord, srv: srv}
 	t.Cleanup(func() {
-		rig.sched.Stop(time.Minute)
+		rig.mu.Lock()
+		scheds := rig.scheds
+		rig.mu.Unlock()
+		for _, s := range scheds {
+			s.Stop(time.Minute)
+		}
 		rig.killAllWorkers()
 		rig.wg.Wait()
 		rig.srv.Close()
 		rig.coord.Close()
 	})
 	return rig
+}
+
+// newScheduler starts a scheduler on dir wired through the rig's coordinator
+// and blob store: the deployment's daemon, or a restart of it on the same
+// state directory.
+func (rig *fabricRig) newScheduler(t *testing.T, dir string) *Scheduler {
+	t.Helper()
+	sched, err := New(Config{Dir: dir, Workers: 1, Blobs: rig.store, Coordinator: rig.coord})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.mu.Lock()
+	rig.scheds = append(rig.scheds, sched)
+	rig.mu.Unlock()
+	return sched
 }
 
 // startWorker boots one worker node; the returned cancel is its kill switch
@@ -96,20 +110,21 @@ func (rig *fabricRig) killAllWorkers() {
 func TestFabricReportByteIdentical(t *testing.T) {
 	spec := testSpec()
 	want := refReportBytes(t, spec)
-	rig := newFabricRig(t, t.TempDir(), time.Minute)
+	rig := newFabricRig(t, time.Minute)
+	sched := rig.newScheduler(t, t.TempDir())
 	for i, name := range []string{"node-a", "node-b", "node-c"} {
 		rig.startWorker(name, 1+i%2)
 	}
 
-	stat, err := rig.sched.Submit(JobSpec{Kind: KindSEU, SEU: &spec})
+	stat, err := sched.Submit(JobSpec{Kind: KindSEU, SEU: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin := waitState(t, rig.sched, stat.ID, StateDone)
+	fin := waitState(t, sched, stat.ID, StateDone)
 	if fin.ChunksDone != fin.ChunksTotal || fin.ChunksTotal < 2 {
 		t.Fatalf("chunks done %d/%d, want a complete multi-chunk sweep", fin.ChunksDone, fin.ChunksTotal)
 	}
-	got, err := rig.sched.Report(stat.ID)
+	got, err := sched.Report(stat.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +145,16 @@ func TestFabricWorkerKilledMidRun(t *testing.T) {
 	// Leases short enough that the victim's chunks re-issue quickly, but
 	// with ample margin over a chunk's runtime (which balloons under
 	// -race) — honest completions must not routinely outlive their lease.
-	rig := newFabricRig(t, t.TempDir(), 2*time.Second)
+	rig := newFabricRig(t, 2*time.Second)
+	sched := rig.newScheduler(t, t.TempDir())
 	victimKill := rig.startWorker("victim", 2)
 	rig.startWorker("survivor-a", 1)
 	rig.startWorker("survivor-b", 1)
 
 	job := JobSpec{Kind: KindSEU, SEU: &spec}
-	events, unsub := rig.sched.Subscribe(job.ID())
+	events, unsub := sched.Subscribe(job.ID())
 	defer unsub()
-	stat, err := rig.sched.Submit(job)
+	stat, err := sched.Submit(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +174,8 @@ waitProgress:
 	}
 	victimKill()
 
-	fin := waitState(t, rig.sched, stat.ID, StateDone)
-	got, err := rig.sched.Report(stat.ID)
+	fin := waitState(t, sched, stat.ID, StateDone)
+	got, err := sched.Report(stat.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +364,17 @@ func mustLoadAll(t *testing.T, st *store) []*Status {
 // coordinator numbers when one is embedded.
 func TestMetricsExposeFabricCounters(t *testing.T) {
 	spec := testSpec()
-	rig := newFabricRig(t, t.TempDir(), time.Minute)
+	rig := newFabricRig(t, time.Minute)
+	sched := rig.newScheduler(t, t.TempDir())
 	rig.startWorker("node-a", 2)
-	stat, err := rig.sched.Submit(JobSpec{Kind: KindSEU, SEU: &spec})
+	stat, err := sched.Submit(JobSpec{Kind: KindSEU, SEU: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, rig.sched, stat.ID, StateDone)
+	waitState(t, sched, stat.ID, StateDone)
 
 	var buf bytes.Buffer
-	rig.sched.Metrics.WritePrometheus(&buf, rig.sched.JobsByState())
+	sched.Metrics.WritePrometheus(&buf, sched.JobsByState())
 	text := buf.String()
 	for _, name := range []string{
 		"campaignd_fabric_workers",

@@ -327,12 +327,6 @@ func (s *Scheduler) kickLocked() {
 	}
 }
 
-func (s *Scheduler) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // update applies fn to the job under the lock, persists, and publishes.
 func (s *Scheduler) update(id string, fn func(*Status)) {
 	s.mu.Lock()
@@ -478,10 +472,6 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 		return err
 	}
 	opts := cfg.CampaignOptions(true)
-	base, err := seu.NewChunkRunner(bd, opts)
-	if err != nil {
-		return err
-	}
 	plan := seu.PlanChunks(cfg.Geom, opts, s.cfg.Chunks)
 	have, err := s.st.loadChunks(id, plan)
 	if err != nil {
@@ -508,7 +498,7 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 	})
 
 	// committed folds one freshly checkpointed chunk into the run: the
-	// queue layer's bookkeeping, shared by both execution backends.
+	// queue layer's bookkeeping, shared by both executors.
 	var resMu sync.Mutex
 	committed := func(cr *seu.ChunkResult) {
 		resMu.Lock()
@@ -522,12 +512,24 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 		})
 	}
 
+	// Exactly two executors: the fabric's leased workers, or the in-process
+	// replica pool, whose runner only the local branch needs to build.
 	if len(pending) > 0 {
 		var runErr error
 		if s.cfg.Coordinator != nil {
 			runErr = s.runFabricChunks(ctx, id, *spec, pending, committed)
 		} else {
-			runErr = s.runLocalChunks(ctx, id, base, cfg.Seed, pending, committed)
+			base, err := seu.NewChunkRunner(bd, opts)
+			if err != nil {
+				return err
+			}
+			runErr = seu.RunChunks(ctx, base, pending, s.cfg.Workers, s.drainCh, s.Metrics.workerBusy, func(cs seu.ChunkSpec, cr *seu.ChunkResult) error {
+				if err := s.st.saveChunk(id, cs, cr); err != nil {
+					return err
+				}
+				committed(cr)
+				return nil
+			})
 		}
 		if runErr != nil {
 			return runErr
@@ -538,102 +540,20 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 	got := len(results)
 	resMu.Unlock()
 	if got < len(plan) {
-		// The feeder stopped early: graceful drain (or a cancel that raced
-		// the last send). Everything completed is checkpointed.
+		// The executor stopped early on a graceful drain. Everything
+		// completed is checkpointed.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		return errDrained
 	}
 
-	rep := base.AssembleReport(results)
+	rep := seu.AssembleReport(bd, results)
 	b, err := reportJSON(core.NewCampaignReport(rep, cfg))
 	if err != nil {
 		return err
 	}
 	return s.st.saveReport(id, b)
-}
-
-// runLocalChunks executes pending chunks on the in-process replica pool,
-// checkpointing each through the blob store as it lands.
-func (s *Scheduler) runLocalChunks(ctx context.Context, id string, base *seu.ChunkRunner, seed int64, pending []seu.ChunkSpec, committed func(*seu.ChunkResult)) error {
-	workers := s.cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	// Clone all worker replicas from the base up front: cloning while the
-	// base board is mid-injection would snapshot a dirty replica.
-	runners := make([]*seu.ChunkRunner, workers)
-	runners[0] = base
-	for i := 1; i < workers; i++ {
-		runners[i] = base.Clone(seed + int64(i))
-	}
-
-	var (
-		workWG    sync.WaitGroup
-		errMu     sync.Mutex
-		firstErr  error
-		abort     = make(chan struct{})
-		abortOnce sync.Once
-	)
-	// fail records the first worker error and unblocks the feeder, which
-	// would otherwise wait forever on a channel nobody drains.
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		abortOnce.Do(func() { close(abort) })
-	}
-
-	chunkCh := make(chan seu.ChunkSpec)
-	var feedWG sync.WaitGroup
-	feedWG.Add(1)
-	go func() {
-		defer feedWG.Done()
-		defer close(chunkCh)
-		for _, cs := range pending {
-			if s.isDraining() || ctx.Err() != nil {
-				return
-			}
-			select {
-			case chunkCh <- cs:
-			case <-ctx.Done():
-				return
-			case <-abort:
-				return
-			}
-		}
-	}()
-
-	for i := 0; i < workers; i++ {
-		workWG.Add(1)
-		go func(r *seu.ChunkRunner) {
-			defer workWG.Done()
-			for cs := range chunkCh {
-				s.Metrics.workerBusy(1)
-				cr, err := r.Run(ctx, cs)
-				s.Metrics.workerBusy(-1)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := s.st.saveChunk(id, cs, cr); err != nil {
-					fail(err)
-					return
-				}
-				committed(cr)
-			}
-			// The channel drained without error: every chunk this runner
-			// touched completed, so its replica is a clean substrate —
-			// park it for the next job on this design.
-			r.Release()
-		}(runners[i])
-	}
-	workWG.Wait()
-	feedWG.Wait()
-	return firstErr
 }
 
 // runFabricChunks leases pending chunks to fabric worker nodes through the
@@ -643,8 +563,8 @@ func (s *Scheduler) runLocalChunks(ctx context.Context, id string, base *seu.Chu
 // job's manifest — the same commit point the local path uses, so reports
 // are byte-identical across backends.
 func (s *Scheduler) runFabricChunks(ctx context.Context, id string, spec core.CampaignSpec, pending []seu.ChunkSpec, committed func(*seu.ChunkResult)) error {
-	// Graceful drain has no chunk channel to starve here — map it onto
-	// context cancellation, which RunJob honors between commits. Chunks
+	// RunJob takes no stop channel, so graceful drain maps onto context
+	// cancellation, which RunJob honors between commits. Chunks
 	// already committed stay in the manifest, so the next daemon resumes.
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -666,12 +586,12 @@ func (s *Scheduler) runFabricChunks(ctx context.Context, id string, spec core.Ca
 
 // bistReport is the persisted outcome of a BIST job.
 type bistReport struct {
-	Geometry string   `json:"geometry"`
+	Geometry string               `json:"geometry"`
 	Wire     *bist.WireTestReport `json:"wire,omitempty"`
 	CLB      *bist.CLBTestReport  `json:"clb,omitempty"`
 	BRAM     *bist.BRAMTestReport `json:"bram,omitempty"`
-	Healthy  bool     `json:"healthy"`
-	Summary  []string `json:"summary"`
+	Healthy  bool                 `json:"healthy"`
+	Summary  []string             `json:"summary"`
 }
 
 // runBIST runs the enabled self-tests on a freshly configured idle device.

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -128,136 +129,181 @@ func TestSEUJobMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// executor is one of the scheduler's two SEU execution backends. open
+// returns a function that starts a scheduler on a state directory;
+// schedulers it starts share one blob store (and, on the fabric, one
+// coordinator and its worker nodes), as restarts of one deployment would.
+type executor struct {
+	name string
+	open func(t *testing.T) func(dir string) *Scheduler
+}
+
+// executors returns the in-process pool at each of poolSizes and a fabric
+// of two worker nodes.
+func executors(poolSizes ...int) []executor {
+	var out []executor
+	for _, workers := range poolSizes {
+		out = append(out, executor{fmt.Sprintf("local-%d", workers), func(t *testing.T) func(string) *Scheduler {
+			return func(dir string) *Scheduler { return newTestScheduler(t, dir, workers) }
+		}})
+	}
+	return append(out, executor{"fabric-2", func(t *testing.T) func(string) *Scheduler {
+		rig := newFabricRig(t, time.Minute)
+		rig.startWorker("node-a", 1)
+		rig.startWorker("node-b", 1)
+		return func(dir string) *Scheduler { return rig.newScheduler(t, dir) }
+	}})
+}
+
 // TestCheckpointResumeByteIdentical kills the scheduler at a randomized
 // chunk boundary mid-sweep, restarts it on the same state directory, and
-// requires the resumed job's final report to be byte-identical to an
-// uninterrupted run — at pool sizes 1 and 4.
+// requires every committed chunk to be on disk and the resumed job's final
+// report to be byte-identical to an uninterrupted run — on the local pool
+// at sizes 1 and 4 and on the fabric.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	spec := testSpec()
 	want := refReportBytes(t, spec)
 	rng := rand.New(rand.NewSource(7))
-	for _, workers := range []int{1, 4} {
-		dir := t.TempDir()
-		s := newTestScheduler(t, dir, workers)
-
-		job := JobSpec{Kind: KindSEU, SEU: &spec}
-		events, unsub := s.Subscribe(job.ID())
-		stat, err := s.Submit(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Stop once a randomized number of chunks has checkpointed.
+	for _, ex := range executors(1, 4) {
 		killAfter := 1 + rng.Intn(8)
-		deadline := time.After(2 * time.Minute)
-	waitKill:
-		for {
-			select {
-			case ev := <-events:
-				if ev.ChunksDone >= killAfter || ev.Final {
-					break waitKill
-				}
-			case <-deadline:
-				t.Fatalf("workers=%d: no progress before kill point %d", workers, killAfter)
+		t.Run(ex.name, func(t *testing.T) {
+			start := ex.open(t)
+			dir := t.TempDir()
+			s := start(dir)
+
+			job := JobSpec{Kind: KindSEU, SEU: &spec}
+			events, unsub := s.Subscribe(job.ID())
+			stat, err := s.Submit(job)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		unsub()
-		s.Stop(time.Minute) // drain: in-flight chunks checkpoint, job re-queues
+			// Stop once a randomized number of chunks has checkpointed.
+			deadline := time.After(2 * time.Minute)
+		waitKill:
+			for {
+				select {
+				case ev := <-events:
+					if ev.ChunksDone >= killAfter || ev.Final {
+						break waitKill
+					}
+				case <-deadline:
+					t.Fatalf("no progress before kill point %d", killAfter)
+				}
+			}
+			unsub()
+			s.Stop(time.Minute) // drain: in-flight chunks checkpoint, job re-queues
 
-		persisted := chunkFileCount(t, dir, stat.ID)
-		mid, ok := s.Get(stat.ID)
-		if !ok {
-			t.Fatal("job lost across Stop")
-		}
-		if mid.State != StateQueued && mid.State != StateDone {
-			t.Fatalf("workers=%d: state after drain is %s, want queued or done", workers, mid.State)
-		}
-		if mid.State == StateQueued && persisted == 0 {
-			t.Fatalf("workers=%d: drained mid-sweep but no chunk checkpoints on disk", workers)
-		}
+			persisted := chunkFileCount(t, dir, stat.ID)
+			mid, ok := s.Get(stat.ID)
+			if !ok {
+				t.Fatal("job lost across Stop")
+			}
+			if mid.State != StateQueued && mid.State != StateDone {
+				t.Fatalf("state after drain is %s, want queued or done", mid.State)
+			}
+			t.Logf("drained %s with %d chunks checkpointed", mid.State, persisted)
+			if persisted < mid.ChunksDone {
+				t.Fatalf("%d chunks committed but only %d checkpointed", mid.ChunksDone, persisted)
+			}
+			if mid.State == StateQueued && persisted == 0 {
+				t.Fatal("drained mid-sweep but no chunk checkpoints on disk")
+			}
 
-		// "Restarted daemon": a fresh scheduler on the same directory picks
-		// the queued job up by itself and resumes from the checkpoints.
-		s2 := newTestScheduler(t, dir, workers)
-		fin := waitState(t, s2, stat.ID, StateDone)
-		got, err := s2.Report(stat.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: resumed report differs from uninterrupted run (killed after %d of %d chunks)",
-				workers, persisted, fin.ChunksTotal)
-		}
-		s2.Stop(time.Minute)
+			// "Restarted daemon": a fresh scheduler on the same directory
+			// picks the queued job up by itself and resumes from the
+			// checkpoints.
+			s2 := start(dir)
+			defer s2.Stop(time.Minute)
+			fin := waitState(t, s2, stat.ID, StateDone)
+			got, err := s2.Report(stat.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resumed report differs from uninterrupted run (killed after %d of %d chunks)",
+					persisted, fin.ChunksTotal)
+			}
+		})
 	}
 }
 
 // TestCancelResubmitResumes cancels a running job, then resubmits the same
 // spec: the content-addressed ID must map it onto its retained checkpoints
-// and the final report must match an uninterrupted run byte for byte.
+// and the final report must match an uninterrupted run byte for byte — on
+// the local pool and on the fabric.
 func TestCancelResubmitResumes(t *testing.T) {
 	spec := testSpec()
 	want := refReportBytes(t, spec)
-	dir := t.TempDir()
-	s := newTestScheduler(t, dir, 2)
-	defer s.Stop(time.Minute)
+	for _, ex := range executors(2) {
+		t.Run(ex.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := ex.open(t)(dir)
+			defer s.Stop(time.Minute)
 
-	job := JobSpec{Kind: KindSEU, SEU: &spec}
-	events, unsub := s.Subscribe(job.ID())
-	stat, err := s.Submit(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(2 * time.Minute)
-waitProgress:
-	for {
-		select {
-		case ev := <-events:
-			if ev.ChunksDone >= 1 || ev.Final {
-				break waitProgress
+			job := JobSpec{Kind: KindSEU, SEU: &spec}
+			events, unsub := s.Subscribe(job.ID())
+			stat, err := s.Submit(job)
+			if err != nil {
+				t.Fatal(err)
 			}
-		case <-deadline:
-			t.Fatal("no chunk completed before cancel")
-		}
-	}
-	unsub()
-	if _, err := s.Cancel(stat.ID); err != nil {
-		t.Fatal(err)
-	}
-	// The job either lands cancelled or — if the cancel raced the last
-	// chunk — done; both keep their checkpoints.
-	var mid *Status
-	for waited := 0; ; waited++ {
-		st, ok := s.Get(stat.ID)
-		if !ok {
-			t.Fatal("job lost after cancel")
-		}
-		if st.State.Terminal() {
-			mid = st
-			break
-		}
-		if waited > 20000 {
-			t.Fatal("timeout waiting for cancel to land")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if mid.State == StateCancelled && chunkFileCount(t, dir, stat.ID) == 0 {
-		t.Fatal("cancelled job retained no checkpoints")
-	}
+			deadline := time.After(2 * time.Minute)
+		waitProgress:
+			for {
+				select {
+				case ev := <-events:
+					if ev.ChunksDone >= 1 || ev.Final {
+						break waitProgress
+					}
+				case <-deadline:
+					t.Fatal("no chunk completed before cancel")
+				}
+			}
+			unsub()
+			if _, err := s.Cancel(stat.ID); err != nil {
+				t.Fatal(err)
+			}
+			// The job either lands cancelled or — if the cancel raced the
+			// last chunk — done; both keep their checkpoints.
+			var mid *Status
+			for waited := 0; ; waited++ {
+				st, ok := s.Get(stat.ID)
+				if !ok {
+					t.Fatal("job lost after cancel")
+				}
+				if st.State.Terminal() {
+					mid = st
+					break
+				}
+				if waited > 20000 {
+					t.Fatal("timeout waiting for cancel to land")
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			persisted := chunkFileCount(t, dir, stat.ID)
+			t.Logf("cancel landed %s with %d chunks checkpointed", mid.State, persisted)
+			if persisted < mid.ChunksDone {
+				t.Fatalf("%d chunks committed but only %d checkpointed", mid.ChunksDone, persisted)
+			}
+			if mid.State == StateCancelled && persisted == 0 {
+				t.Fatal("cancelled job retained no checkpoints")
+			}
 
-	resub, err := s.Submit(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resub.ID != stat.ID {
-		t.Fatalf("resubmitted job got new ID %s, want %s", resub.ID, stat.ID)
-	}
-	waitState(t, s, stat.ID, StateDone)
-	got, err := s.Report(stat.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("cancel+resubmit report differs from uninterrupted run")
+			resub, err := s.Submit(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resub.ID != stat.ID {
+				t.Fatalf("resubmitted job got new ID %s, want %s", resub.ID, stat.ID)
+			}
+			waitState(t, s, stat.ID, StateDone)
+			got, err := s.Report(stat.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("cancel+resubmit report differs from uninterrupted run")
+			}
+		})
 	}
 }
 

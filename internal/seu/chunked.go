@@ -14,14 +14,15 @@ import (
 	"repro/internal/device"
 )
 
-// Resumable chunked execution. The campaign service decomposes a sweep into
-// an explicit chunk plan, runs chunks on worker replicas, and checkpoints
-// each completed chunk's serialized result to disk. Because the plan is a
-// pure function of (geometry, options) and every chunk's result is a pure
-// function of (plan entry, options) — the same per-injection determinism the
-// sharded path relies on — a sweep interrupted at any chunk boundary and
-// resumed later (even by a different process at a different worker count)
-// assembles into a Report byte-identical to an uninterrupted Run.
+// Resumable chunked execution. Every in-process and distributed campaign
+// runs as an explicit chunk plan: PlanChunks cuts the sweep into address
+// ranges, a ChunkRunner turns each range into a serializable ChunkResult,
+// and AssembleReport folds the results. The plan is a pure function of
+// (geometry, options, chunk cap) and every chunk's result a pure function of
+// (plan entry, options), so a sweep interrupted at any chunk boundary and
+// resumed later — even by a different process at a different worker count —
+// assembles into a Report byte-identical to an uninterrupted Run. The
+// campaign service checkpoints each ChunkResult as it lands.
 
 // ChunkSpec is one contiguous bit-address range of a campaign's sweep.
 type ChunkSpec struct {
@@ -37,6 +38,11 @@ type ChunkSpec struct {
 // valid under any other.
 func PlanChunks(g device.Geometry, opts Options, maxChunks int) []ChunkSpec {
 	limit, _ := selectionPlan(opts, g.TotalBits())
+	return planChunks(limit, maxChunks)
+}
+
+// planChunks cuts [0, limit) into at most maxChunks equal spans.
+func planChunks(limit int64, maxChunks int) []ChunkSpec {
 	if maxChunks < 1 {
 		maxChunks = 1
 	}
@@ -64,44 +70,29 @@ func PlanChunks(g device.Geometry, opts Options, maxChunks int) []ChunkSpec {
 	return plan
 }
 
-// ChunkResult is the serializable outcome of one chunk — the checkpoint
-// unit. It mirrors the internal shard accumulator field for field.
+// ChunkResult is the outcome of one chunk: the accumulator the injection
+// loop writes into while the chunk runs, and the serialized checkpoint unit
+// once it is done.
 type ChunkResult struct {
-	Index           int        `json:"index"`
-	Injections      int64      `json:"injections"`
-	Failures        int64      `json:"failures"`
-	Persistent      int64      `json:"persistent"`
-	TriageSkipped   int64      `json:"triage_skipped"`
-	CyclesSimulated int64      `json:"cycles_simulated"`
-	CyclesSkipped   int64      `json:"cycles_skipped"`
-	SimulatedTimeNs int64      `json:"simulated_time_ns"`
-	InjectionsByKind KindCounts `json:"injections_by_kind"`
-	FailuresByKind   KindCounts `json:"failures_by_kind"`
+	Index            int         `json:"index"`
+	Injections       int64       `json:"injections"`
+	Failures         int64       `json:"failures"`
+	Persistent       int64       `json:"persistent"`
+	TriageSkipped    int64       `json:"triage_skipped"`
+	CyclesSimulated  int64       `json:"cycles_simulated"`
+	CyclesSkipped    int64       `json:"cycles_skipped"`
+	SimulatedTimeNs  int64       `json:"simulated_time_ns"`
+	InjectionsByKind KindCounts  `json:"injections_by_kind"`
+	FailuresByKind   KindCounts  `json:"failures_by_kind"`
 	Bits             []BitRecord `json:"bits,omitempty"`
 }
 
-// result converts a shard accumulator into its serializable form.
-func (acc *shardAccum) result(index int) *ChunkResult {
-	cr := &ChunkResult{
+func newChunkResult(index int) *ChunkResult {
+	return &ChunkResult{
 		Index:            index,
-		Injections:       acc.injections,
-		Failures:         acc.failures,
-		Persistent:       acc.persistent,
-		TriageSkipped:    acc.triageSkipped,
-		CyclesSimulated:  acc.cyclesRun,
-		CyclesSkipped:    acc.cyclesSkipped,
-		SimulatedTimeNs:  acc.simTime.Nanoseconds(),
-		InjectionsByKind: make(KindCounts, len(acc.injByKind)),
-		FailuresByKind:   make(KindCounts, len(acc.failByKind)),
-		Bits:             acc.bits,
+		InjectionsByKind: make(KindCounts),
+		FailuresByKind:   make(KindCounts),
 	}
-	for k, n := range acc.injByKind {
-		cr.InjectionsByKind[k] = n
-	}
-	for k, n := range acc.failByKind {
-		cr.FailuresByKind[k] = n
-	}
-	return cr
 }
 
 // CanonicalJSON returns the result's canonical serialized form — the bytes
@@ -129,8 +120,8 @@ func (cr *ChunkResult) Hash() (string, error) {
 
 // ChunkRunner executes chunks of one campaign on one board replica. The
 // base runner owns the campaign-scoped immutable state (golden snapshot,
-// triage mask); Clone derives additional runners for concurrent workers,
-// sharing that state the same way the internal sharded path does.
+// triage mask, pre-plan); Clone derives additional runners for concurrent
+// workers that share it.
 type ChunkRunner struct {
 	bd     *board.SLAAC1V
 	golden *bitstream.Memory
@@ -139,7 +130,10 @@ type ChunkRunner struct {
 	fast   bool
 	opts   Options
 	plan   *prePlan
-	vr     *vectorRunner
+	vr     *vectorRunner // built by the first Run
+	// limit and expected are selectionPlan's sweep end and injection
+	// count, kept because the scan costs a hash per bit when sampling.
+	limit, expected int64
 	// tag/pooled drive replica-pool bookkeeping: clones are acquired from
 	// the pool and Release parks them; the base runner's board belongs to
 	// the caller and is never pooled.
@@ -159,8 +153,11 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 		bd:     bd,
 		golden: bd.DUT.ConfigMemory().Clone(),
 		fs:     newFrameScrub(bd.Geometry()),
-		fast:   opts.FastSim && !bd.DUT.HistoryCoupled(),
-		opts:   opts,
+		// Convergence early exit is exact only when no live design state
+		// survives a campaign reset; history-coupled configurations keep
+		// simulating every cycle (the kernel choice alone is always exact).
+		fast: opts.FastSim && !bd.DUT.HistoryCoupled(),
+		opts: opts,
 	}
 	if poolEligible(bd) {
 		r.tag = bd.CampaignFingerprint()
@@ -168,9 +165,8 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	if opts.Triage {
 		r.tri = newTriage(bd)
 	}
-	limit, _ := selectionPlan(opts, bd.Geometry().TotalBits())
-	r.plan = campaignPlan(bd, opts, limit, r.tri)
-	r.vr = maybeNewVectorRunner(bd, r.plan)
+	r.limit, r.expected = selectionPlan(opts, bd.Geometry().TotalBits())
+	r.plan = campaignPlan(bd, opts, r.limit, r.tri)
 	return r, nil
 }
 
@@ -184,16 +180,17 @@ func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
 	wb := acquireReplica(r.bd, r.tag, seed)
 	wb.SetFastSim(r.opts.Kernel.scalarEventDriven())
 	return &ChunkRunner{
-		bd:     wb,
-		golden: r.golden,
-		tri:    r.tri,
-		fs:     newFrameScrub(wb.Geometry()),
-		fast:   r.fast,
-		opts:   r.opts,
-		plan:   r.plan,
-		vr:     maybeNewVectorRunner(wb, r.plan),
-		tag:    r.tag,
-		pooled: true,
+		bd:       wb,
+		golden:   r.golden,
+		tri:      r.tri,
+		fs:       newFrameScrub(wb.Geometry()),
+		fast:     r.fast,
+		opts:     r.opts,
+		plan:     r.plan,
+		limit:    r.limit,
+		expected: r.expected,
+		tag:      r.tag,
+		pooled:   true,
 	}
 }
 
@@ -213,23 +210,35 @@ func (r *ChunkRunner) Release() {
 // Run executes one chunk, returning its serializable result. A cancelled
 // context aborts between injections with ctx's error and no result.
 func (r *ChunkRunner) Run(ctx context.Context, spec ChunkSpec) (*ChunkResult, error) {
-	acc := newShardAccum()
-	if err := runRange(ctx, r.bd, r.golden, spec.Lo, spec.Hi, r.opts, acc, r.tri, r.fs, r.fast, r.vr, r.plan); err != nil {
+	if r.vr == nil {
+		// Lane machines are allocated on first use, so a runner that only
+		// seeds clones (RunContext's at several workers) never holds any.
+		r.vr = maybeNewVectorRunner(r.bd, r.plan)
+	}
+	cr := newChunkResult(spec.Index)
+	if err := runRange(ctx, r.bd, r.golden, spec.Lo, spec.Hi, r.opts, cr, r.tri, r.fs, r.fast, r.vr, r.plan); err != nil {
 		return nil, err
 	}
-	return acc.result(spec.Index), nil
+	return cr, nil
 }
 
-// AssembleReport folds chunk results — in any order, e.g. fresh runs mixed
-// with checkpoints loaded from disk — into the Report an uninterrupted Run
-// of the same campaign produces. The caller owns WallTime.
+// AssembleReport folds this campaign's chunk results into its Report; see
+// the package-level AssembleReport.
 func (r *ChunkRunner) AssembleReport(results []*ChunkResult) *Report {
+	return AssembleReport(r.bd, results)
+}
+
+// AssembleReport folds chunk results of a campaign on bd — in any order,
+// e.g. fresh runs mixed with checkpoints loaded from disk — into the Report
+// an uninterrupted Run of the same campaign produces. It reads only bd's
+// design name, geometry and slice count. The caller owns WallTime.
+func AssembleReport(bd *board.SLAAC1V, results []*ChunkResult) *Report {
 	ordered := append([]*ChunkResult(nil), results...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Index < ordered[j].Index })
 	rep := &Report{
-		Design:           r.bd.Placed.Circuit.Name,
-		Geom:             r.bd.Geometry(),
-		SlicesUsed:       r.bd.Placed.SlicesUsed(),
+		Design:           bd.Placed.Circuit.Name,
+		Geom:             bd.Geometry(),
+		SlicesUsed:       bd.Placed.SlicesUsed(),
 		InjectionsByKind: make(KindCounts),
 		FailuresByKind:   make(KindCounts),
 	}

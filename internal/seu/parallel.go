@@ -4,20 +4,20 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/board"
 	"repro/internal/device"
 )
 
-// Sharded campaign execution. The bit-address space is cut into contiguous
-// chunks; workers pull chunks from a shared cursor, each running the
-// injection loop on its own cloned board replica and accumulating into a
-// private shardAccum. Because every injection starts from canonical board
-// state (board.ResetCampaignState) and samples by per-bit hash, chunk
-// scheduling cannot influence any outcome — the merge in chunk order
-// reassembles exactly the sequential report.
+// In-process chunk execution. A campaign's bit-address space is cut into
+// contiguous chunks (PlanChunks); RunChunks hands them out from a shared
+// cursor to a base runner plus pooled replicas of its board, each running
+// the injection loop into the chunk's own ChunkResult. Because every
+// injection starts from canonical board state (board.ResetCampaignState)
+// and samples by per-bit hash, which replica runs which chunk cannot
+// influence any outcome — AssembleReport's fold in chunk order reassembles
+// exactly the sequential report.
 
 // chunksPerWorker over-decomposes the address space so a worker stuck in a
 // failure-dense chunk doesn't serialize the tail of the campaign.
@@ -28,48 +28,76 @@ const chunksPerWorker = 4
 // than requested.
 const minInjectionsPerWorker = 64
 
-// shardAccum accumulates one chunk's share of the report.
-type shardAccum struct {
-	injections    int64
-	failures      int64
-	persistent    int64
-	triageSkipped int64
-	cyclesRun     int64
-	cyclesSkipped int64
-	simTime       time.Duration
-	injByKind     map[device.BitKind]int64
-	failByKind    map[device.BitKind]int64
-	bits          []BitRecord
+// RunChunks runs specs on base plus up to workers-1 clones of it, calling
+// commit once per chunk result from the goroutine that ran the chunk. All
+// clones are taken before base runs anything: cloning while the base board
+// is mid-injection would snapshot a dirty replica.
+//
+// Closing stop ends the hand-out of new chunks; chunks already running
+// finish and commit, and RunChunks returns nil with the rest unrun. The
+// first chunk or commit error, or ctx's end, aborts the run and is
+// returned. A clone parks in the replica pool as soon as its worker runs
+// out of chunks or sees stop, every chunk it ran committed; after an abort
+// it is dropped, since it may hold a board mid-corruption. busy, when
+// non-nil, is told +1 and -1 around each chunk run, for a caller's
+// in-flight gauge.
+func RunChunks(ctx context.Context, base *ChunkRunner, specs []ChunkSpec, workers int, stop <-chan struct{}, busy func(delta int), commit func(ChunkSpec, *ChunkResult) error) error {
+	workers = max(1, min(workers, len(specs)))
+	runners := make([]*ChunkRunner, workers)
+	runners[0] = base
+	for i := 1; i < workers; i++ {
+		runners[i] = base.Clone(base.opts.Seed + int64(i))
+	}
+	ctx, abort := context.WithCancelCause(ctx)
+	defer abort(nil)
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for _, r := range runners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !closed(stop) {
+				if ctx.Err() != nil {
+					return
+				}
+				k := next.Add(1) - 1
+				if k >= int64(len(specs)) {
+					break
+				}
+				if busy != nil {
+					busy(1)
+				}
+				cr, err := r.Run(ctx, specs[k])
+				if busy != nil {
+					busy(-1)
+				}
+				if err == nil {
+					err = commit(specs[k], cr)
+				}
+				if err != nil {
+					abort(err)
+					return
+				}
+			}
+			// Parking now, not after the slowest worker, also frees this
+			// worker's lane machines while a long chunk finishes elsewhere.
+			r.Release()
+		}()
+	}
+	wg.Wait()
+	return context.Cause(ctx)
 }
 
-func newShardAccum() *shardAccum {
-	return &shardAccum{
-		injByKind:  make(map[device.BitKind]int64),
-		failByKind: make(map[device.BitKind]int64),
+// closed reports whether ch is closed; a nil ch never is.
+func closed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
-}
-
-// mergeInto folds one chunk accumulator into the report. Chunks are folded
-// in ascending chunk order, and addresses ascend within a chunk, so
-// SensitiveBits arrives already sorted by Addr.
-func mergeInto(rep *Report, acc *shardAccum) {
-	if acc == nil {
-		return
-	}
-	rep.Injections += acc.injections
-	rep.Failures += acc.failures
-	rep.Persistent += acc.persistent
-	rep.TriageSkipped += acc.triageSkipped
-	rep.CyclesSimulated += acc.cyclesRun
-	rep.CyclesSkipped += acc.cyclesSkipped
-	rep.SimulatedTime += acc.simTime
-	for k, n := range acc.injByKind {
-		rep.InjectionsByKind[k] += n
-	}
-	for k, n := range acc.failByKind {
-		rep.FailuresByKind[k] += n
-	}
-	rep.SensitiveBits = append(rep.SensitiveBits, acc.bits...)
 }
 
 // runRange executes the injection loop over bit addresses [lo, hi) on bd.
@@ -81,9 +109,9 @@ func mergeInto(rep *Report, acc *shardAccum) {
 // campaign stops with the board between iterations, never mid-repair. A
 // pending vector batch always flushes inside the range that enqueued it,
 // so chunk results stay a pure function of their spec.
-func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, lo, hi int64, opts Options, acc *shardAccum, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner, plan *prePlan) error {
+func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, lo, hi int64, opts Options, cr *ChunkResult, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner, plan *prePlan) error {
 	if vr != nil {
-		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, acc, tri, fs, fast, vr)
+		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, cr, tri, fs, fast, vr)
 	}
 	g := bd.Geometry()
 	for a := device.BitAddr(lo); int64(a) < hi; a++ {
@@ -98,20 +126,20 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 			continue
 		}
 		info := g.Classify(a)
-		acc.injections++
-		acc.injByKind[info.Kind]++
-		acc.simTime += board.InjectLoopTime
+		cr.Injections++
+		cr.InjectionsByKind[info.Kind]++
+		cr.SimulatedTimeNs += int64(board.InjectLoopTime)
 		if info.Kind == device.KindPad || info.Kind == device.KindExtra {
 			continue // provably benign: no decoded behaviour depends on it
 		}
 		if tri.inert(a) {
-			acc.triageSkipped++
+			cr.TriageSkipped++
 			continue // provably outside every observed output's cone
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := injectOne(bd, golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, acc, fs, fast); err != nil {
+		if err := injectOne(bd, golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, cr, fs, fast); err != nil {
 			return err
 		}
 	}
@@ -124,16 +152,16 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 // work, dispatching on each entry's precomputed disposition. The planner
 // never runs here — classification happened exactly once per sampled bit,
 // in buildPrePlan.
-func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, acc *shardAccum, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner) error {
+func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, cr *ChunkResult, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner) error {
 	kinds, triaged := plan.tally(lo, hi, opts, bd.Geometry(), tri)
 	for k, n := range kinds {
 		if n != 0 {
-			acc.injections += n
-			acc.injByKind[device.BitKind(k)] += n
-			acc.simTime += time.Duration(n) * board.InjectLoopTime
+			cr.Injections += n
+			cr.InjectionsByKind[device.BitKind(k)] += n
+			cr.SimulatedTimeNs += n * int64(board.InjectLoopTime)
 		}
 	}
-	acc.triageSkipped += triaged
+	cr.TriageSkipped += triaged
 	entries := plan.window(lo, hi)
 	for i := range entries {
 		e := &entries[i]
@@ -144,87 +172,19 @@ func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.M
 		case planVector:
 			vr.enqueueVector(e)
 		case planCarry:
-			if err := vr.enqueueCarry(bd, golden, e, opts, acc, fs); err != nil {
+			if err := vr.enqueueCarry(bd, golden, e, opts, cr, fs); err != nil {
 				return err
 			}
 		case planScalar:
-			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, acc, fs, fast); err != nil {
+			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, cr, fs, fast); err != nil {
 				return err
 			}
 			continue
 		}
 		if vr.shouldFlush() {
-			vr.flush(opts, acc, fast)
+			vr.flush(opts, cr, fast)
 		}
 	}
-	vr.flush(opts, acc, fast)
+	vr.flush(opts, cr, fast)
 	return nil
-}
-
-// runSharded fans the range [0, limit) out over workers cloned boards and
-// returns the per-chunk accumulators in chunk order.
-func runSharded(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, limit int64, workers int, opts Options, tri *triage, fast bool, plan *prePlan) ([]*shardAccum, error) {
-	chunks := workers * chunksPerWorker
-	if int64(chunks) > limit {
-		chunks = int(limit)
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	span := (limit + int64(chunks) - 1) / int64(chunks)
-	accs := make([]*shardAccum, chunks)
-	var (
-		cursor int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errCh := make(chan error, workers)
-	var tag uint64
-	if poolEligible(bd) {
-		tag = bd.CampaignFingerprint()
-	}
-	for w := 0; w < workers; w++ {
-		// The clone seed is irrelevant to results (every injection re-seeds
-		// the stimulus stream) but must differ per worker for rng hygiene.
-		// Replicas parked by earlier campaigns of the same design are
-		// reused when their fingerprint matches.
-		wb := acquireReplica(bd, tag, opts.Seed+int64(w)+1)
-		wb.SetFastSim(opts.Kernel.scalarEventDriven())
-		wg.Add(1)
-		go func(wb *board.SLAAC1V) {
-			defer wg.Done()
-			// The dirty-frame tracker is per replica: it certifies frames of
-			// THIS board's configuration memory, so it must live as long as
-			// the replica, not per chunk.
-			fs := newFrameScrub(wb.Geometry())
-			vr := maybeNewVectorRunner(wb, plan)
-			for {
-				ci := atomic.AddInt64(&cursor, 1) - 1
-				if ci >= int64(chunks) || failed.Load() {
-					// Every completed range left wb with a golden substrate;
-					// park it for the next campaign of this design.
-					releaseReplica(wb, tag, !failed.Load())
-					return
-				}
-				lo := ci * span
-				hi := lo + span
-				if hi > limit {
-					hi = limit
-				}
-				acc := newShardAccum()
-				accs[ci] = acc
-				if err := runRange(ctx, wb, golden, lo, hi, opts, acc, tri, fs, fast, vr, plan); err != nil {
-					failed.Store(true)
-					errCh <- err
-					return
-				}
-			}
-		}(wb)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, err
-	}
-	return accs, nil
 }

@@ -1,13 +1,19 @@
 package seu
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
+	"repro/internal/board"
 	"repro/internal/designs"
 	"repro/internal/device"
+	"repro/internal/place"
 )
 
 // assertReportsEqual demands byte-identical campaign results; only the
@@ -140,4 +146,129 @@ func TestMaxBitsCapsIdenticallyAcrossWorkers(t *testing.T) {
 		t.Fatalf("MaxBits cap not honoured: %d injections", seq.Injections)
 	}
 	assertReportsEqual(t, seq, run(3))
+}
+
+// TestRunChunks pins the in-process executor's contract at workers {1, 3}
+// and chunk counts {1, 64}: every chunk commits exactly once; a commit
+// error or a cancelled ctx is returned and parks no replica; closing stop
+// hands out no new chunk while chunks already running still commit.
+func TestRunChunks(t *testing.T) {
+	spec, err := designs.ByName("MULT 12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Sample = 0.02
+	opts.Seed = 3
+	// newBase returns a runner on a board of a fresh placement, whose
+	// replica pool only the run under test can fill. (A drained shared pool
+	// would not do: sync.Pool cannot be emptied reliably across Ps.)
+	newBase := func(t *testing.T) *ChunkRunner {
+		p, err := place.Place(spec.Build(), device.Tiny())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd, err := board.New(p, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewChunkRunner(bd, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// assertNoneParked must run on a single P (see the failure subtests):
+	// sync.Pool keeps a private slot per P that no other P can Get from.
+	assertNoneParked := func(t *testing.T, base *ChunkRunner) {
+		if pool := replicaPoolFor(base.bd.Placed); pool != nil && pool.Get() != nil {
+			t.Fatal("aborted run parked a replica in the pool")
+		}
+	}
+	errCommit := errors.New("commit failed")
+	for _, workers := range []int{1, 3} {
+		for _, chunks := range []int{1, 64} {
+			specs := PlanChunks(device.Tiny(), opts, chunks)
+			name := fmt.Sprintf("workers=%d/chunks=%d", workers, chunks)
+
+			t.Run(name+"/commit-once", func(t *testing.T) {
+				var mu sync.Mutex
+				seen := make(map[int]int)
+				err := RunChunks(context.Background(), newBase(t), specs, workers, nil, nil, func(cs ChunkSpec, cr *ChunkResult) error {
+					mu.Lock()
+					defer mu.Unlock()
+					if cr.Index != cs.Index {
+						t.Errorf("chunk %d committed a result for chunk %d", cs.Index, cr.Index)
+					}
+					seen[cs.Index]++
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cs := range specs {
+					if seen[cs.Index] != 1 {
+						t.Fatalf("chunk %d committed %d times, want once", cs.Index, seen[cs.Index])
+					}
+				}
+			})
+
+			t.Run(name+"/commit-error", func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				base := newBase(t)
+				err := RunChunks(context.Background(), base, specs, workers, nil, nil, func(ChunkSpec, *ChunkResult) error {
+					return errCommit
+				})
+				if !errors.Is(err, errCommit) {
+					t.Fatalf("RunChunks returned %v, want the commit error", err)
+				}
+				assertNoneParked(t, base)
+			})
+
+			t.Run(name+"/ctx-cancel", func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				base := newBase(t)
+				err := RunChunks(ctx, base, specs, workers, nil, nil, func(ChunkSpec, *ChunkResult) error {
+					cancel()
+					return nil
+				})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("RunChunks returned %v, want context.Canceled", err)
+				}
+				assertNoneParked(t, base)
+			})
+
+			t.Run(name+"/stop", func(t *testing.T) {
+				var mu sync.Mutex
+				seen := make(map[int]int)
+				stop := make(chan struct{})
+				err := RunChunks(context.Background(), newBase(t), specs, workers, stop, nil, func(cs ChunkSpec, _ *ChunkResult) error {
+					mu.Lock()
+					defer mu.Unlock()
+					if len(seen) == 0 {
+						close(stop)
+					}
+					seen[cs.Index]++
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Chunks are handed out in index order and every one handed
+				// out commits, so the committed set is a prefix of the plan.
+				// The first commit closes stop under mu, so each worker
+				// commits at most the one chunk it was running then.
+				if len(seen) > workers {
+					t.Fatalf("%d chunks committed after stop closed on the first, want at most %d", len(seen), workers)
+				}
+				for i := 0; i < len(seen); i++ {
+					if seen[i] != 1 {
+						t.Fatalf("chunk %d committed %d times; committed set %v is not a prefix of the plan", i, seen[i], seen)
+					}
+				}
+			})
+		}
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/bitstream"
@@ -39,10 +38,10 @@ type Options struct {
 	MaxBits int64
 	// Seed drives sampling and per-injection stimulus.
 	Seed int64
-	// Workers is the number of concurrent injection workers. Each worker
-	// beyond the first runs on a cloned board replica; per-shard results
-	// merge deterministically, so every value of Workers produces the
-	// same Report. 0 means GOMAXPROCS.
+	// Workers is the number of concurrent injection workers. One worker
+	// runs on the campaign's board, several on cloned board replicas;
+	// per-chunk results merge deterministically, so every value of Workers
+	// produces the same Report. 0 means GOMAXPROCS.
 	Workers int
 	// ClassifyPersistence enables the paper's persistent/non-persistent
 	// classification pass for every sensitive bit.
@@ -228,63 +227,44 @@ func Run(bd *board.SLAAC1V, opts Options) (*Report, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled the campaign
-// stops between injections and returns ctx's error. A cancelled campaign
-// returns no partial report — resumable execution is the chunk API's job
-// (PlanChunks / ChunkRunner).
+// stops between injections and returns ctx's error. It is the chunk API run
+// to completion in process: NewChunkRunner on bd, PlanChunks, RunChunks,
+// AssembleReport. At one worker bd runs the injections and is left in
+// lock-step on its golden configuration; at more, Workers replicas run them
+// and bd is left untouched. A cancelled campaign returns no partial report;
+// resumable execution is the campaign service's use of the same chunk API.
 func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, error) {
-	if opts.ObserveCycles <= 0 || opts.CleanRun <= 0 {
-		return nil, fmt.Errorf("seu: non-positive cycle counts")
-	}
-	g := bd.Geometry()
-	bd.SetFastSim(opts.Kernel.scalarEventDriven())
-	// Convergence early exit is exact only when no live design state
-	// survives a campaign reset; history-coupled configurations keep
-	// simulating every cycle (the kernel choice alone is always exact).
-	fast := opts.FastSim && !bd.DUT.HistoryCoupled()
-	golden := bd.DUT.ConfigMemory().Clone()
-	rep := &Report{
-		Design:           bd.Placed.Circuit.Name,
-		Geom:             g,
-		SlicesUsed:       bd.Placed.SlicesUsed(),
-		InjectionsByKind: make(KindCounts),
-		FailuresByKind:   make(KindCounts),
-	}
 	start := time.Now()
-
-	limit, expected := selectionPlan(opts, g.TotalBits())
+	base, err := NewChunkRunner(bd, opts)
+	if err != nil {
+		return nil, err
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if maxw := int(expected/minInjectionsPerWorker) + 1; workers > maxw {
+	if maxw := int(base.expected/minInjectionsPerWorker) + 1; workers > maxw {
 		workers = maxw // not enough work to amortize board clones
 	}
-	var tri *triage
-	if opts.Triage {
-		tri = newTriage(bd)
+	chunks := 1
+	if workers > 1 {
+		chunks = workers * chunksPerWorker
+		// Callers keep simulating bd after the campaign (beam validation,
+		// the Fig. 7 trace). Among several workers, which chunk bd would
+		// run last depends on scheduling, so it sits the campaign out and
+		// stays exactly as it was.
+		base = base.Clone(opts.Seed)
 	}
-	plan := campaignPlan(bd, opts, limit, tri)
-	if workers == 1 {
-		acc := newShardAccum()
-		vr := maybeNewVectorRunner(bd, plan)
-		if err := runRange(ctx, bd, golden, 0, limit, opts, acc, tri, newFrameScrub(g), fast, vr, plan); err != nil {
-			return nil, err
-		}
-		mergeInto(rep, acc)
-	} else {
-		accs, err := runSharded(ctx, bd, golden, limit, workers, opts, tri, fast, plan)
-		if err != nil {
-			return nil, err
-		}
-		for _, acc := range accs {
-			mergeInto(rep, acc)
-		}
-	}
-	// Already in address order by construction; keep the guarantee even if
-	// the sharding strategy changes.
-	sort.Slice(rep.SensitiveBits, func(i, j int) bool {
-		return rep.SensitiveBits[i].Addr < rep.SensitiveBits[j].Addr
+	specs := planChunks(base.limit, chunks)
+	results := make([]*ChunkResult, len(specs))
+	err = RunChunks(ctx, base, specs, workers, nil, nil, func(cs ChunkSpec, cr *ChunkResult) error {
+		results[cs.Index] = cr
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	rep := AssembleReport(bd, results)
 	rep.WallTime = time.Since(start)
 	return rep, nil
 }
@@ -375,10 +355,10 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 // last golden verification. seed is the injection's stimulus seed
 // (precomputed by the pre-plan on the vector path, derived on the fly by
 // the scalar loop).
-func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, acc *shardAccum, fs *frameScrub, fast bool) error {
+func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, cr *ChunkResult, fs *frameScrub, fast bool) error {
 	ob, err := observeAndRepair(bd, golden, a, seed, opts, fs)
 	startCycle := bd.Cycle() - ob.steps
-	defer func() { acc.cyclesRun += bd.Cycle() - startCycle }()
+	defer func() { cr.CyclesSimulated += bd.Cycle() - startCycle }()
 	if err != nil {
 		return err
 	}
@@ -392,7 +372,7 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 			if fast && bd.Locked() {
 				// Provably in lock-step forever: the remaining clean cycles
 				// are guaranteed matches.
-				acc.cyclesSkipped += int64(opts.CleanRun - clean)
+				cr.CyclesSkipped += int64(opts.CleanRun - clean)
 				clean = opts.CleanRun
 				break
 			}
@@ -410,8 +390,8 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 		}
 	}
 
-	acc.failures++
-	acc.failByKind[kind]++
+	cr.Failures++
+	cr.FailuresByKind[kind]++
 
 	persistent := false
 	if opts.ClassifyPersistence {
@@ -428,7 +408,7 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 				// current clean streak to the end of the window — exactly
 				// what simulating them would produce.
 				remaining := opts.PersistWindow - i
-				acc.cyclesSkipped += int64(remaining)
+				cr.CyclesSkipped += int64(remaining)
 				clean += remaining
 				break
 			}
@@ -440,11 +420,11 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 		}
 		persistent = clean < opts.CleanRun
 		if persistent {
-			acc.persistent++
+			cr.Persistent++
 		}
 	}
 	if opts.CollectBits {
-		acc.bits = append(acc.bits, BitRecord{
+		cr.Bits = append(cr.Bits, BitRecord{
 			Addr: a, Kind: kind, Persistent: persistent,
 			FirstErrorCycle: firstErr, FailedOutputs: failedOutputs,
 		})

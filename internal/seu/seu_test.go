@@ -154,22 +154,33 @@ func TestCampaignLeavesBoardClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := board.New(p, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := bd.DUT.ConfigMemory().Clone()
-	opts := DefaultOptions()
-	opts.Sample = 0.01
-	opts.Seed = 5
-	if _, err := Run(bd, opts); err != nil {
-		t.Fatal(err)
-	}
-	if !bd.DUT.ConfigMemory().Equal(golden) {
-		t.Fatal("campaign left corruption in the DUT configuration")
-	}
-	if mism, _ := bd.StepN(50); mism != 0 {
-		t.Fatal("board not in lock-step after campaign")
+	// At one worker the caller's board runs the injections; at four it sits
+	// the campaign out, so a caller that keeps simulating it (beam
+	// validation, the Fig. 7 trace) sees no scheduling-dependent state.
+	// Either way it must end clean and in lock-step.
+	for _, workers := range []int{1, 4} {
+		bd, err := board.New(p, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := bd.DUT.ConfigMemory().Clone()
+		opts := DefaultOptions()
+		opts.Sample = 0.01
+		opts.Seed = 5
+		opts.Workers = workers
+		cycle := bd.Cycle()
+		if _, err := Run(bd, opts); err != nil {
+			t.Fatal(err)
+		}
+		if workers > 1 && bd.Cycle() != cycle {
+			t.Fatalf("workers=%d: campaign stepped the caller's board", workers)
+		}
+		if !bd.DUT.ConfigMemory().Equal(golden) {
+			t.Fatalf("workers=%d: campaign left corruption in the DUT configuration", workers)
+		}
+		if mism, _ := bd.StepN(50); mism != 0 {
+			t.Fatalf("workers=%d: board not in lock-step after campaign", workers)
+		}
 	}
 }
 

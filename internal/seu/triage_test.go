@@ -98,13 +98,13 @@ func TestTriageSkippedBitsAreBenign(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Seed = 31
-	acc := newShardAccum()
+	acc := newChunkResult(0)
 	fs := newFrameScrub(g)
 	for _, a := range inert {
 		if err := injectOne(bd, golden, a, g.Classify(a).Kind, stimulusSeed(opts.Seed, a), opts, acc, fs, false); err != nil {
 			t.Fatalf("bit %d: %v", a, err)
 		}
-		if acc.failures != 0 {
+		if acc.Failures != 0 {
 			t.Fatalf("triage-skipped bit %d caused an output failure", a)
 		}
 	}

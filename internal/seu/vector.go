@@ -170,26 +170,26 @@ func (vr *vectorRunner) enqueueVector(e *planEntry) {
 // non-history-coupled designs), so a reset pair always re-matches and the
 // full-reconfiguration fallback can never fire — and the next injection's
 // ResetCampaignState clears the user state anyway.
-func (vr *vectorRunner) enqueueCarry(bd *board.SLAAC1V, golden *bitstream.Memory, e *planEntry, opts Options, acc *shardAccum, fs *frameScrub) error {
+func (vr *vectorRunner) enqueueCarry(bd *board.SLAAC1V, golden *bitstream.Memory, e *planEntry, opts Options, cr *ChunkResult, fs *frameScrub) error {
 	ob, err := observeAndRepair(bd, golden, e.addr, e.seed, opts, fs)
-	acc.cyclesRun += ob.steps
+	cr.CyclesSimulated += ob.steps
 	if err != nil {
 		return err
 	}
 	if ob.failed && !(opts.ClassifyPersistence && opts.PersistWindow > 0) {
 		// Failed with no window to carry: retire inline, mirroring
 		// injectOne's post-failure flow for a zero-length window.
-		acc.failures++
-		acc.failByKind[e.kind]++
+		cr.Failures++
+		cr.FailuresByKind[e.kind]++
 		persistent := false
 		if opts.ClassifyPersistence {
 			persistent = 0 < opts.CleanRun
 			if persistent {
-				acc.persistent++
+				cr.Persistent++
 			}
 		}
 		if opts.CollectBits {
-			acc.bits = append(acc.bits, BitRecord{
+			cr.Bits = append(cr.Bits, BitRecord{
 				Addr: e.addr, Kind: e.kind, Persistent: persistent,
 				FirstErrorCycle: ob.firstErr, FailedOutputs: ob.failedOutputs,
 			})
@@ -234,9 +234,9 @@ func (vr *vectorRunner) pop() *pendingLane {
 }
 
 // flush runs every queued entry to retirement and folds the outcomes into
-// acc. fast gates the per-lane lock-step early exit, exactly like the
+// cr. fast gates the per-lane lock-step early exit, exactly like the
 // scalar path (CyclesSkipped stays 0 when FastSim is off).
-func (vr *vectorRunner) flush(opts Options, acc *shardAccum, fast bool) {
+func (vr *vectorRunner) flush(opts Options, cr *ChunkResult, fast bool) {
 	if vr.pending() == 0 {
 		return
 	}
@@ -247,7 +247,7 @@ func (vr *vectorRunner) flush(opts Options, acc *shardAccum, fast bool) {
 	vectorSweepsSettled.Add(rounds)
 	vectorWorklistDrains.Add(drains)
 	pprof.Do(context.Background(), labelsEmit, func(context.Context) {
-		emitBatch(vr.done, opts, acc)
+		emitBatch(vr.done, opts, cr)
 	})
 	var skipped int64
 	for i := range vr.done {
@@ -454,22 +454,22 @@ func (vr *vectorRunner) finishFailed(ln *laneRun, opts Options) {
 // the invariant that keeps vector reports byte-identical to scalar ones
 // (per-kind maps, persistence tallies, and SensitiveBits all accumulate
 // in the same order injectOne would have produced).
-func emitBatch(lanes []laneRun, opts Options, acc *shardAccum) {
+func emitBatch(lanes []laneRun, opts Options, cr *ChunkResult) {
 	sort.SliceStable(lanes, func(i, j int) bool { return lanes[i].addr < lanes[j].addr })
 	for i := range lanes {
 		ln := &lanes[i]
-		acc.cyclesRun += ln.cycles
-		acc.cyclesSkipped += ln.skipped
+		cr.CyclesSimulated += ln.cycles
+		cr.CyclesSkipped += ln.skipped
 		if !ln.failed {
 			continue
 		}
-		acc.failures++
-		acc.failByKind[ln.kind]++
+		cr.Failures++
+		cr.FailuresByKind[ln.kind]++
 		if ln.persistent {
-			acc.persistent++
+			cr.Persistent++
 		}
 		if opts.CollectBits {
-			acc.bits = append(acc.bits, BitRecord{
+			cr.Bits = append(cr.Bits, BitRecord{
 				Addr: ln.addr, Kind: ln.kind, Persistent: ln.persistent,
 				FirstErrorCycle: ln.firstErr, FailedOutputs: ln.failedOutputs,
 			})

@@ -143,24 +143,24 @@ func TestEmitBatchOrderIndependent(t *testing.T) {
 			{addr: 1300, kind: device.KindLongLine, cycles: 32},
 		}
 	}
-	ref := newShardAccum()
+	ref := newChunkResult(0)
 	emitBatch(mkLanes(), opts, ref)
 
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		lanes := mkLanes()
 		rng.Shuffle(len(lanes), func(i, j int) { lanes[i], lanes[j] = lanes[j], lanes[i] })
-		acc := newShardAccum()
+		acc := newChunkResult(0)
 		emitBatch(lanes, opts, acc)
-		if acc.failures != ref.failures || acc.persistent != ref.persistent ||
-			acc.cyclesRun != ref.cyclesRun || acc.cyclesSkipped != ref.cyclesSkipped {
+		if acc.Failures != ref.Failures || acc.Persistent != ref.Persistent ||
+			acc.CyclesSimulated != ref.CyclesSimulated || acc.CyclesSkipped != ref.CyclesSkipped {
 			t.Fatalf("trial %d: tallies differ after shuffle", trial)
 		}
-		if !reflect.DeepEqual(acc.failByKind, ref.failByKind) {
+		if !reflect.DeepEqual(acc.FailuresByKind, ref.FailuresByKind) {
 			t.Fatalf("trial %d: failByKind differs after shuffle", trial)
 		}
-		if !reflect.DeepEqual(acc.bits, ref.bits) {
-			t.Fatalf("trial %d: bit records differ after shuffle:\n%v\n%v", trial, acc.bits, ref.bits)
+		if !reflect.DeepEqual(acc.Bits, ref.Bits) {
+			t.Fatalf("trial %d: bit records differ after shuffle:\n%v\n%v", trial, acc.Bits, ref.Bits)
 		}
 	}
 }

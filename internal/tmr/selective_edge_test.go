@@ -83,7 +83,7 @@ func TestSelectiveVoterPlacement(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 40; i++ {
-				v := uint64(i*7 % 4)
+				v := uint64(i * 7 % 4)
 				simA.SetInput("in", v)
 				simB.SetInput("in", v)
 				simA.Step()
