@@ -51,11 +51,11 @@ type SLAAC1V struct {
 	lock lockTracker
 }
 
-// SetFastSim switches both devices between the activity-driven settling
+// SetEventDriven switches both devices between the activity-driven settling
 // kernel and the full-sweep kernel (the reference oracle). Both devices
 // always run the same kernel so their sweep-bounded trajectories stay
 // comparable.
-func (b *SLAAC1V) SetFastSim(on bool) {
+func (b *SLAAC1V) SetEventDriven(on bool) {
 	b.Golden.SetEventDriven(on)
 	b.DUT.SetEventDriven(on)
 }

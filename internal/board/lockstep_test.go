@@ -76,17 +76,17 @@ func TestLockedSeesHiddenDivergence(t *testing.T) {
 	}
 }
 
-// TestSetFastSimKeepsLockStep: toggling the kernel mid-run must not
+// TestSetEventDrivenKeepsLockStep: toggling the kernel mid-run must not
 // disturb lock-step behaviour.
-func TestSetFastSimKeepsLockStep(t *testing.T) {
+func TestSetEventDrivenKeepsLockStep(t *testing.T) {
 	bd := testbed(t)
-	bd.SetFastSim(false)
+	bd.SetEventDriven(false)
 	for i := 0; i < 10; i++ {
 		if !bd.Step() {
 			t.Fatal("mismatch under sweep kernel")
 		}
 	}
-	bd.SetFastSim(true)
+	bd.SetEventDriven(true)
 	for i := 0; i < 10; i++ {
 		if !bd.Step() {
 			t.Fatal("mismatch after re-enabling event kernel")

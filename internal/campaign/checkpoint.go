@@ -158,11 +158,7 @@ func (st *store) saveManifestLocked(id string, m *manifest) error {
 // then commit it to the manifest. The fabric path skips the Put (the
 // worker already uploaded) and calls commitChunk directly.
 func (st *store) saveChunk(id string, spec seu.ChunkSpec, cr *seu.ChunkResult) error {
-	b, err := json.Marshal(fabric.ChunkPayload{Spec: spec, Result: cr})
-	if err != nil {
-		return err
-	}
-	key, err := st.blobs.Put(b)
+	key, err := fabric.PutChunk(st.blobs, spec, cr)
 	if err != nil {
 		return err
 	}
@@ -222,17 +218,12 @@ func (st *store) loadChunks(id string, plan []seu.ChunkSpec) (map[int]*seu.Chunk
 		if !ok || want != ent.Spec {
 			continue // stale decomposition
 		}
-		b, err := st.blobs.Get(ent.Blob)
+		cr, err := fabric.LoadChunk(st.blobs, ent.Blob, ent.Spec)
 		if err != nil {
-			continue // missing or corrupt (hash-validation failure): recompute
-		}
-		var cp fabric.ChunkPayload
-		if err := json.Unmarshal(b, &cp); err != nil || cp.Result == nil ||
-			cp.Spec != ent.Spec || cp.Result.Index != ent.Spec.Index {
-			continue
+			continue // missing, corrupt or mismatched: recompute
 		}
 		kept = append(kept, ent)
-		out[ent.Spec.Index] = cp.Result
+		out[ent.Spec.Index] = cr
 	}
 	if len(kept) != len(m.Chunks) {
 		m.Chunks = kept

@@ -44,9 +44,8 @@ type Config struct {
 	// campaigns use to skip provably-inert configuration bits. The zero
 	// value keeps triage on; reports are byte-identical either way.
 	NoTriage bool
-	// NoFastSim disables the lock-step convergence early exit and, in the
-	// half-latch beam study, the activity-driven settling kernel. The zero
-	// value keeps both on; reports are byte-identical either way.
+	// NoFastSim disables the lock-step convergence early exit. The zero
+	// value keeps it on; reports are byte-identical either way.
 	NoFastSim bool
 	// Kernel selects the production vector path (seu.KernelVector, the
 	// zero value) or the scalar sweep oracle (seu.KernelSweep). Reports
@@ -329,7 +328,6 @@ func HalfLatchStudy(cfg Config, name string, observations int) (*HalfLatchReport
 		if err != nil {
 			return 0, err
 		}
-		bd.SetFastSim(!cfg.NoFastSim)
 		src := radiation.NewSource(2, xs, cfg.Seed+7)
 		rep, err := radiation.RunBeam(bd, src, nil, radiation.BeamOptions{
 			Observations:         observations,

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -47,6 +48,41 @@ type Lease struct {
 type ChunkPayload struct {
 	Spec   seu.ChunkSpec    `json:"spec"`
 	Result *seu.ChunkResult `json:"result"`
+}
+
+// PutChunk encodes one completed chunk as a ChunkPayload and Puts it to
+// store, returning its content-hash key.
+func PutChunk(store BlobStore, spec seu.ChunkSpec, cr *seu.ChunkResult) (string, error) {
+	b, err := json.Marshal(ChunkPayload{Spec: spec, Result: cr})
+	if err != nil {
+		return "", err
+	}
+	return store.Put(b)
+}
+
+// LoadChunk fetches the ChunkPayload stored under key (the store
+// hash-validates it), decodes it, and verifies it answers exactly want.
+// Nothing in the payload is trusted: a malformed key, an undecodable blob,
+// a missing result or a result for another chunk is an error.
+func LoadChunk(store BlobStore, key string, want seu.ChunkSpec) (*seu.ChunkResult, error) {
+	if !ValidKey(key) {
+		return nil, fmt.Errorf("malformed blob key %q", key)
+	}
+	b, err := store.Get(key)
+	if err != nil {
+		return nil, fmt.Errorf("fetching result blob: %w", err)
+	}
+	var cp ChunkPayload
+	if err := json.Unmarshal(b, &cp); err != nil {
+		return nil, fmt.Errorf("decoding result blob %s: %w", key, err)
+	}
+	if cp.Result == nil {
+		return nil, fmt.Errorf("result blob %s has no result", key)
+	}
+	if cp.Spec != want || cp.Result.Index != want.Index {
+		return nil, fmt.Errorf("result blob %s answers chunk %+v, leased %+v", key, cp.Spec, want)
+	}
+	return cp.Result, nil
 }
 
 // CommitFunc persists one validated chunk result (already stored under
@@ -346,36 +382,23 @@ func (c *Coordinator) Complete(worker, leaseID, blobKey, workerErr string) (Comp
 		return CompleteReply{Stale: true}, nil
 	}
 	chunk := j.chunks[ls.key.index]
-	if committedKey, done := j.committed[ls.key.index]; done {
-		reply := CompleteReply{Accepted: true, Duplicate: true}
-		if workerErr == "" && blobKey != committedKey {
-			// A duplicate completion must be byte-identical to the committed
-			// result; a different key means non-deterministic execution.
-			c.divergent++
-			reply = CompleteReply{Rejected: true,
-				Reason: fmt.Sprintf("duplicate result %s diverges from committed %s", blobKey, committedKey)}
-		}
+	if reply, dup := c.duplicateLocked(j, ls.key.index, blobKey, workerErr); dup {
 		c.mu.Unlock()
 		return reply, nil
 	}
 	if workerErr != "" {
-		j.failures[ls.key.index]++
-		if j.failures[ls.key.index] >= c.cfg.MaxAttempts {
-			err := fmt.Errorf("fabric: chunk %d failed %d times, last on %s: %s",
-				ls.key.index, j.failures[ls.key.index], worker, workerErr)
-			c.mu.Unlock()
-			j.finish(err)
-			return CompleteReply{Accepted: true}, nil
-		}
-		c.enqueueLocked(ls.key)
+		err := c.failLocked(j, ls.key, "on "+worker, errors.New(workerErr))
 		c.mu.Unlock()
+		if err != nil {
+			j.finish(err)
+		}
 		return CompleteReply{Accepted: true}, nil
 	}
 	// Chunk is now in limbo (not leased, not queued, not committed) while we
 	// validate outside the lock; a validation failure re-queues it.
 	c.mu.Unlock()
 
-	cr, verr := c.validate(chunk, blobKey)
+	cr, verr := LoadChunk(c.cfg.Store, blobKey, chunk)
 	c.mu.Lock()
 	if cur, ok := c.jobs[ls.key.job]; !ok || cur != j {
 		// The job finished or was withdrawn (and possibly resubmitted as a
@@ -388,26 +411,15 @@ func (c *Coordinator) Complete(worker, leaseID, blobKey, workerErr string) (Comp
 		// deterministic validation failure must fail the job, not re-issue
 		// the chunk forever.
 		c.rejects++
-		j.failures[ls.key.index]++
-		if j.failures[ls.key.index] >= c.cfg.MaxAttempts {
-			err := fmt.Errorf("fabric: chunk %d failed %d times, last rejected from %s: %w",
-				ls.key.index, j.failures[ls.key.index], worker, verr)
-			c.mu.Unlock()
-			j.finish(err)
-			return CompleteReply{Rejected: true, Reason: verr.Error()}, nil
-		}
-		c.enqueueLocked(ls.key)
+		err := c.failLocked(j, ls.key, "rejected from "+worker, verr)
 		c.mu.Unlock()
+		if err != nil {
+			j.finish(err)
+		}
 		return CompleteReply{Rejected: true, Reason: verr.Error()}, nil
 	}
-	if committedKey, done := j.committed[ls.key.index]; done {
-		// Lost a validate race; first valid commit already won.
-		reply := CompleteReply{Accepted: true, Duplicate: true}
-		if blobKey != committedKey {
-			c.divergent++
-			reply = CompleteReply{Rejected: true,
-				Reason: fmt.Sprintf("duplicate result %s diverges from committed %s", blobKey, committedKey)}
-		}
+	// Lost a validate race? The first valid commit already won.
+	if reply, dup := c.duplicateLocked(j, ls.key.index, blobKey, ""); dup {
 		c.mu.Unlock()
 		return reply, nil
 	}
@@ -434,27 +446,35 @@ func (c *Coordinator) Complete(worker, leaseID, blobKey, workerErr string) (Comp
 	return CompleteReply{Accepted: true}, nil
 }
 
-// validate fetches the claimed blob (hash-checked by the store), decodes
-// it, and verifies it answers exactly the leased chunk.
-func (c *Coordinator) validate(chunk seu.ChunkSpec, blobKey string) (*seu.ChunkResult, error) {
-	if !ValidKey(blobKey) {
-		return nil, fmt.Errorf("malformed blob key %q", blobKey)
+// duplicateLocked answers a completion for a chunk that has already
+// committed, reporting whether it had. A duplicate result must be
+// byte-identical to the committed one: a different blob key means
+// non-deterministic execution, and is counted and rejected. A worker error
+// on a committed chunk is simply absorbed.
+func (c *Coordinator) duplicateLocked(j *jobState, index int, blobKey, workerErr string) (CompleteReply, bool) {
+	committedKey, done := j.committed[index]
+	if !done {
+		return CompleteReply{}, false
 	}
-	b, err := c.cfg.Store.Get(blobKey)
-	if err != nil {
-		return nil, fmt.Errorf("fetching result blob: %w", err)
+	if workerErr != "" || blobKey == committedKey {
+		return CompleteReply{Accepted: true, Duplicate: true}, true
 	}
-	var cp ChunkPayload
-	if err := json.Unmarshal(b, &cp); err != nil {
-		return nil, fmt.Errorf("decoding result blob %s: %w", blobKey, err)
+	c.divergent++
+	return CompleteReply{Rejected: true,
+		Reason: fmt.Sprintf("duplicate result %s diverges from committed %s", blobKey, committedKey)}, true
+}
+
+// failLocked charges one failed attempt (a worker error or a validation
+// reject) to chunk k's budget. Below MaxAttempts the chunk is re-queued and
+// failLocked returns nil; at MaxAttempts it returns the error the job must
+// finish with, which the caller does after releasing c.mu.
+func (c *Coordinator) failLocked(j *jobState, k taskKey, last string, cause error) error {
+	j.failures[k.index]++
+	if n := j.failures[k.index]; n >= c.cfg.MaxAttempts {
+		return fmt.Errorf("fabric: chunk %d failed %d times, last %s: %w", k.index, n, last, cause)
 	}
-	if cp.Result == nil {
-		return nil, fmt.Errorf("result blob %s has no result", blobKey)
-	}
-	if cp.Spec != chunk || cp.Result.Index != chunk.Index {
-		return nil, fmt.Errorf("result blob %s answers chunk %+v, leased %+v", blobKey, cp.Spec, chunk)
-	}
-	return cp.Result, nil
+	c.enqueueLocked(k)
+	return nil
 }
 
 // RunJob enqueues a job's pending chunks and blocks until every chunk has

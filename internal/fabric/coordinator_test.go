@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -52,11 +51,7 @@ func fakeResult(cs seu.ChunkSpec) *seu.ChunkResult {
 // putResult uploads a chunk payload the way a worker would.
 func putResult(t *testing.T, s BlobStore, cs seu.ChunkSpec, cr *seu.ChunkResult) string {
 	t.Helper()
-	b, err := json.Marshal(ChunkPayload{Spec: cs, Result: cr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := s.Put(b)
+	key, err := PutChunk(s, cs, cr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +297,14 @@ func TestCompleteRejectsInvalidResults(t *testing.T) {
 			}
 			return key
 		}},
+		{"not JSON", func(*Lease) string {
+			key, err := mem.Put([]byte("not a chunk payload"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return key
+		}},
+		{"null result", func(lease *Lease) string { return putResult(t, mem, lease.Task.Chunk, nil) }},
 	}
 	for _, tc := range cases {
 		lease, err := c.Lease(context.Background(), reg.Worker, 0)

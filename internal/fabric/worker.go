@@ -237,7 +237,7 @@ func (w *workerAgent) runLease(ctx context.Context, lease *Lease, cache **slotRu
 		var cr *seu.ChunkResult
 		cr, err = runner.Run(ctx, lease.Task.Chunk)
 		if err == nil {
-			blobKey, err = w.uploadResult(lease.Task.Chunk, cr)
+			blobKey, err = PutChunk(w.blobs, lease.Task.Chunk, cr)
 		}
 	}
 	if ctx.Err() != nil {
@@ -296,14 +296,4 @@ func (w *workerAgent) runnerFor(lease *Lease, cache **slotRunner) (*seu.ChunkRun
 	}
 	*cache = &slotRunner{job: lease.Task.Job, runner: runner}
 	return runner, nil
-}
-
-// uploadResult serializes the chunk payload and Puts it to the blob store,
-// returning its content-hash key.
-func (w *workerAgent) uploadResult(spec seu.ChunkSpec, cr *seu.ChunkResult) (string, error) {
-	b, err := json.Marshal(ChunkPayload{Spec: spec, Result: cr})
-	if err != nil {
-		return "", err
-	}
-	return w.blobs.Put(b)
 }

@@ -1,7 +1,6 @@
 package mission
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -154,10 +153,3 @@ func (m *Model) buildProtectedSet(sensCount []int64, coverage float64) {
 
 // FrameOffset returns the golden-image byte offset of frame f.
 func (m *Model) FrameOffset(f int32) int64 { return int64(f) * int64(m.FrameBytes) }
-
-func (m *Model) validateFrame(f int32) error {
-	if f < 0 || int(f) >= m.Frames {
-		return fmt.Errorf("mission: frame %d out of range [0,%d)", f, m.Frames)
-	}
-	return nil
-}

@@ -165,8 +165,6 @@ func (p *placer) placeSites() error {
 	return nil
 }
 
-func lowSlotsMask(n int) uint8 { return uint8(1<<uint(n)) - 1 }
-
 // intSqrt returns ceil(sqrt(n)) for small n.
 func intSqrt(n int) int {
 	s := 1

@@ -9,10 +9,11 @@ import (
 	"repro/internal/place"
 )
 
-// BenchmarkFig8Vector times the fig8bench workload (MULT 12, small
-// geometry, 2000 bits) on the production path — the in-repo twin of
-// cmd/fig8bench's workers-1-vector variant, profileable with
-// -cpuprofile/-memprofile.
+// BenchmarkFig8Vector times a Fig. 8 injection window (MULT 12, small
+// geometry, 2000 bits, one worker) on the production path, the window the
+// historical BENCH_PR3/6/7/8.json records measure. It is a profiling entry
+// point (-cpuprofile/-memprofile), not a gate: CI gates speed with paired
+// runs of the repository benchmark (bench/).
 func BenchmarkFig8Vector(b *testing.B) {
 	g := device.Small()
 	spec, err := designs.ByName("MULT 12")

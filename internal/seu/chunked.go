@@ -148,7 +148,7 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	if opts.ObserveCycles <= 0 || opts.CleanRun <= 0 {
 		return nil, fmt.Errorf("seu: non-positive cycle counts")
 	}
-	bd.SetFastSim(opts.Kernel.scalarEventDriven())
+	bd.SetEventDriven(opts.Kernel.scalarEventDriven())
 	r := &ChunkRunner{
 		bd:     bd,
 		golden: bd.DUT.ConfigMemory().Clone(),
@@ -178,7 +178,7 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 // of it.
 func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
 	wb := acquireReplica(r.bd, r.tag, seed)
-	wb.SetFastSim(r.opts.Kernel.scalarEventDriven())
+	wb.SetEventDriven(r.opts.Kernel.scalarEventDriven())
 	return &ChunkRunner{
 		bd:       wb,
 		golden:   r.golden,
