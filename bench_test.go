@@ -156,6 +156,10 @@ func BenchmarkFig7_PersistentTrace(b *testing.B) {
 
 // --- Fig. 8: the injection loop (214 us/bit; 5.8M bits in ~20 min) -----------
 
+// BenchmarkFig8_InjectionLoop times a 2000-bit MULT 12 window per kernel
+// variant. Each iteration is a whole campaign, so it pays the compile and
+// the pre-plan as every real campaign does; only place-and-route is hoisted
+// out of the loop. A profiling entry point, not a gate.
 func BenchmarkFig8_InjectionLoop(b *testing.B) {
 	spec, err := designs.ByName("MULT 12")
 	if err != nil {

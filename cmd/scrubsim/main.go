@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/payload"
 )
 
@@ -33,11 +32,9 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-	g := map[string]device.Geometry{
-		"tiny": device.Tiny(), "small": device.Small(), "xqvr1000": device.XQVR1000(),
-	}[*geom]
-	if g.Rows == 0 {
-		fmt.Fprintf(os.Stderr, "unknown geometry %q\n", *geom)
+	g, err := core.ParseGeometry(*geom)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scrubsim:", err)
 		os.Exit(2)
 	}
 	cfg := core.Config{Geom: g, Seed: *seed, Sample: 1}

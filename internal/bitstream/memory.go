@@ -24,11 +24,6 @@ type Memory struct {
 	// untouched since its last golden verification without re-reading it.
 	gen      []uint64
 	frameLen int64
-	// muts counts every mutation (any granularity). Callers that derive
-	// values from the full content — ConfigHiddenHash, campaign
-	// fingerprints — compare it to prove the memory unchanged since their
-	// last digest without re-reading a single word.
-	muts uint64
 }
 
 // NewMemory returns an all-zero configuration memory for geometry g.
@@ -45,12 +40,7 @@ func NewMemory(g device.Geometry) *Memory {
 // touch records a mutation of the frame containing bit a.
 func (m *Memory) touch(a device.BitAddr) {
 	m.gen[int64(a)/m.frameLen]++
-	m.muts++
 }
-
-// Mutations returns the total mutation counter: equal values at two points
-// in time prove the memory's bits did not change in between.
-func (m *Memory) Mutations() uint64 { return m.muts }
 
 // FrameGen returns the generation counter of frame idx. The counter
 // increases on every mutation touching the frame; equal generations at two
@@ -130,7 +120,7 @@ func (m *Memory) Clone() *Memory {
 	copy(w, m.words)
 	gen := make([]uint64, len(m.gen))
 	copy(gen, m.gen)
-	return &Memory{geom: m.geom, words: w, gen: gen, frameLen: m.frameLen, muts: m.muts}
+	return &Memory{geom: m.geom, words: w, gen: gen, frameLen: m.frameLen}
 }
 
 // CopyFrom overwrites this memory with the contents of src (same geometry).
@@ -140,7 +130,6 @@ func (m *Memory) CopyFrom(src *Memory) {
 	for i := range m.gen {
 		m.gen[i]++
 	}
-	m.muts++
 }
 
 // Equal reports whether two memories hold identical bits.

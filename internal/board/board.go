@@ -135,18 +135,6 @@ func (b *SLAAC1V) ResetCampaignState(seed int64) {
 // Cycle returns the number of comparison clocks executed.
 func (b *SLAAC1V) Cycle() int64 { return b.cycle }
 
-// CampaignFingerprint digests everything that makes this board a specific
-// campaign substrate: both devices' configuration memory and hidden state
-// (half-latches, stuck overlays). User state is excluded — every injection
-// resets it — so replicas parked after a completed campaign fingerprint
-// identically to fresh clones of the same base, which is what lets the
-// replica pool reuse them across campaigns of the same design.
-func (b *SLAAC1V) CampaignFingerprint() uint64 {
-	g := b.Golden.ConfigHiddenHash()
-	d := b.DUT.ConfigHiddenHash()
-	return g ^ d*0x9E3779B97F4A7C15
-}
-
 // OutputNetIDs returns the dense net IDs the X0 comparator watches, in
 // comparator order. The returned slice is a copy.
 func (b *SLAAC1V) OutputNetIDs() []int {

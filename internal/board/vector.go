@@ -31,7 +31,7 @@ type VectorBoard struct {
 // (pins low, user state reset — the state every scalar injection starts
 // from) and compiles it into the shared read-only struct-of-arrays form.
 // One compiled design serves every VectorBoard of the campaign, across
-// workers and pooled replicas.
+// workers and their board replicas.
 func CompileVector(b *SLAAC1V) *fpga.CompiledDesign {
 	for _, pin := range b.inPins {
 		b.Golden.SetPin(pin, false)

@@ -50,7 +50,8 @@ type MissionSpec struct {
 	Seed   int64  `json:"seed"`
 	// Duration is a time.ParseDuration spelling, e.g. "2h".
 	Duration string `json:"duration"`
-	// PeriodicFullReconfig, when set, enables the blind-refresh ablation.
+	// PeriodicFullReconfig, when set, enables the blind-refresh ablation
+	// at this positive period.
 	PeriodicFullReconfig string `json:"periodic_full_reconfig,omitempty"`
 }
 
@@ -113,7 +114,7 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("campaign: bad mission duration %q", s.Mission.Duration)
 		}
 		if s.Mission.PeriodicFullReconfig != "" {
-			if _, err := time.ParseDuration(s.Mission.PeriodicFullReconfig); err != nil {
+			if r, err := time.ParseDuration(s.Mission.PeriodicFullReconfig); err != nil || r <= 0 {
 				return fmt.Errorf("campaign: bad periodic_full_reconfig %q", s.Mission.PeriodicFullReconfig)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/mission"
 	"repro/internal/seu"
 )
 
@@ -164,37 +163,15 @@ func (m *Metrics) WritePrometheus(w io.Writer, jobsByState map[State]int) {
 
 	fmt.Fprintf(w, "# HELP campaignd_uptime_seconds Seconds since the daemon started.\n# TYPE campaignd_uptime_seconds gauge\ncampaignd_uptime_seconds %g\n", now.Sub(m.started).Seconds())
 
-	// Vector-kernel caches. These counters are process-wide (the seu package
-	// shares one plan cache and one replica pool across all campaigns), so a
-	// daemon restart resets them like any other counter.
-	planHits, planMisses := seu.PlanCacheStats()
-	fmt.Fprintf(w, "# HELP campaignd_plan_cache_hits_total Vector pre-plan cache hits (campaigns served a cached batch plan).\n# TYPE campaignd_plan_cache_hits_total counter\ncampaignd_plan_cache_hits_total %d\n", planHits)
-	fmt.Fprintf(w, "# HELP campaignd_plan_cache_misses_total Vector pre-plan cache misses (plans built from scratch).\n# TYPE campaignd_plan_cache_misses_total counter\ncampaignd_plan_cache_misses_total %d\n", planMisses)
-	replicaHits, replicaMisses := seu.PoolStats()
-	fmt.Fprintf(w, "# HELP campaignd_replica_pool_hits_total Worker-board acquisitions served from the replica pool.\n# TYPE campaignd_replica_pool_hits_total counter\ncampaignd_replica_pool_hits_total %d\n", replicaHits)
-	fmt.Fprintf(w, "# HELP campaignd_replica_pool_misses_total Worker-board acquisitions that cloned a fresh replica.\n# TYPE campaignd_replica_pool_misses_total counter\ncampaignd_replica_pool_misses_total %d\n", replicaMisses)
-
-	// Vector-kernel activity (process-wide, like the caches above): how much
-	// settling work the event-driven drain actually performed, how often
-	// retired lanes were refilled mid-batch, and how many simulated cycles
-	// the per-lane convergence credit skipped.
+	// Vector-kernel activity (process-wide): how much settling work the
+	// event-driven drain actually performed, how often retired lanes were
+	// refilled mid-batch, and how many simulated cycles the per-lane
+	// convergence credit skipped.
 	sweeps, drains, refills, ffwd := seu.VectorKernelStats()
 	fmt.Fprintf(w, "# HELP campaignd_vector_sweeps_total Worklist rounds drained by the vector kernel (one round is one sweep-equivalent).\n# TYPE campaignd_vector_sweeps_total counter\ncampaignd_vector_sweeps_total %d\n", sweeps)
 	fmt.Fprintf(w, "# HELP campaignd_vector_worklist_drains_total Vector Settle calls that found pending work.\n# TYPE campaignd_vector_worklist_drains_total counter\ncampaignd_vector_worklist_drains_total %d\n", drains)
 	fmt.Fprintf(w, "# HELP campaignd_vector_lane_refills_total Retired vector lanes refilled with queued injections mid-batch.\n# TYPE campaignd_vector_lane_refills_total counter\ncampaignd_vector_lane_refills_total %d\n", refills)
 	fmt.Fprintf(w, "# HELP campaignd_vector_fastforward_cycles_total Simulated cycles skipped by per-lane convergence credit.\n# TYPE campaignd_vector_fastforward_cycles_total counter\ncampaignd_vector_fastforward_cycles_total %d\n", ffwd)
-
-	// Mission-simulator activity (process-wide, like the kernel counters):
-	// fleet simulations the process has run and the scrub/telemetry volume
-	// they covered.
-	ms := mission.ScrubStats()
-	fmt.Fprintf(w, "# HELP campaignd_mission_boards_total Board-strategy simulations completed by the mission simulator.\n# TYPE campaignd_mission_boards_total counter\ncampaignd_mission_boards_total %d\n", ms.BoardsSimulated)
-	fmt.Fprintf(w, "# HELP campaignd_mission_strikes_total Radiation strikes generated across simulated fleets.\n# TYPE campaignd_mission_strikes_total counter\ncampaignd_mission_strikes_total %d\n", ms.Strikes)
-	fmt.Fprintf(w, "# HELP campaignd_mission_scrub_cycles_total Full scrub scan cycles completed across simulated board-strategy pairs.\n# TYPE campaignd_mission_scrub_cycles_total counter\ncampaignd_mission_scrub_cycles_total %d\n", ms.ScrubCycles)
-	fmt.Fprintf(w, "# HELP campaignd_mission_repairs_total Partial-reconfiguration frame repairs across simulated fleets.\n# TYPE campaignd_mission_repairs_total counter\ncampaignd_mission_repairs_total %d\n", ms.Repairs)
-	fmt.Fprintf(w, "# HELP campaignd_mission_full_reconfigs_total Full device reconfigurations across simulated fleets.\n# TYPE campaignd_mission_full_reconfigs_total counter\ncampaignd_mission_full_reconfigs_total %d\n", ms.FullReconfigs)
-	fmt.Fprintf(w, "# HELP campaignd_mission_telemetry_frames_total Telemetry frames downlinked by simulated fleets.\n# TYPE campaignd_mission_telemetry_frames_total counter\ncampaignd_mission_telemetry_frames_total %d\n", ms.TelemetryFrames)
-	fmt.Fprintf(w, "# HELP campaignd_mission_telemetry_bytes_total Telemetry bytes downlinked by simulated fleets.\n# TYPE campaignd_mission_telemetry_bytes_total counter\ncampaignd_mission_telemetry_bytes_total %d\n", ms.TelemetryBytes)
 
 	// Distributed fabric. Coordinator state when this daemon embeds one,
 	// zeros otherwise — the metric set stays stable across configurations.

@@ -513,7 +513,7 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 	}
 
 	// Exactly two executors: the fabric's leased workers, or the in-process
-	// replica pool, whose runner only the local branch needs to build.
+	// runner and its clones, which only the local branch needs to build.
 	if len(pending) > 0 {
 		var runErr error
 		if s.cfg.Coordinator != nil {

@@ -370,6 +370,8 @@ func TestSpecValidation(t *testing.T) {
 		{"empty bist", JobSpec{Kind: KindBIST, BIST: &BISTSpec{}}},
 		{"bad geometry", JobSpec{Kind: KindBIST, BIST: &BISTSpec{Geom: "huge", Wire: true}}},
 		{"bad duration", JobSpec{Kind: KindMission, Mission: &MissionSpec{Design: "LFSR 18", Duration: "soon"}}},
+		{"negative refresh", JobSpec{Kind: KindMission, Mission: &MissionSpec{Design: "LFSR 18", Duration: "24h", PeriodicFullReconfig: "-1h"}}},
+		{"zero refresh", JobSpec{Kind: KindMission, Mission: &MissionSpec{Design: "LFSR 18", Duration: "24h", PeriodicFullReconfig: "0s"}}},
 		{"no design", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Sample: 1}}},
 		{"retired kernel auto", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: 1, Kernel: "auto"}}},
 		{"retired kernel event", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: 1, Kernel: "event"}}},

@@ -357,39 +357,6 @@ func HalfLatchStudy(cfg Config, name string, observations int) (*HalfLatchReport
 	return rep, nil
 }
 
-// TMRStudy compares a design's configuration sensitivity before and after
-// triple-module redundancy (the paper's selective-mitigation endpoint).
-func TMRStudy(cfg Config, name string) (plain, hardened *seu.Report, err error) {
-	spec, err := designs.ByName(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	run := func(c *netlist.Circuit) (*seu.Report, error) {
-		p, err := place.Place(c, cfg.Geom)
-		if err != nil {
-			return nil, err
-		}
-		bd, err := board.New(p, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return seu.Run(bd, cfg.CampaignOptions(false))
-	}
-	plain, err = run(spec.Build())
-	if err != nil {
-		return nil, nil, err
-	}
-	trip, err := tmr.Triplicate(spec.Build())
-	if err != nil {
-		return nil, nil, err
-	}
-	hardened, err = run(trip)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plain, hardened, nil
-}
-
 // Mission runs the payload availability experiment.
 func Mission(cfg Config, name string, duration time.Duration, flares []payload.FlareWindow) (*payload.MissionReport, error) {
 	p, err := Build(cfg, name)

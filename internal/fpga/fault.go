@@ -167,8 +167,7 @@ func (f *FPGA) RestoreHalfLatch(s HalfLatchSite) {
 
 // UpsetControlLogic models an SEU in the configuration state machines: the
 // device becomes unprogrammed (outputs dead, readback junk) until a full
-// reconfiguration. Counts as a hidden-state mutation: the unprogrammed flag
-// feeds ConfigHiddenHash.
+// reconfiguration. Counts as a hidden-state mutation.
 func (f *FPGA) UpsetControlLogic() {
 	f.unprogrammed = true
 	f.hiddenGen++

@@ -158,15 +158,8 @@ type FPGA struct {
 
 	// hiddenGen counts mutations of hidden state (half-latch keepers, the
 	// stuck-at overlay, control-logic upsets, reconfiguration) so lock-step
-	// detection and the ConfigHiddenHash memo can cache their results.
+	// detection can cache its results.
 	hiddenGen uint64
-
-	// ConfigHiddenHash memo: valid while both generation counters match
-	// (chMut against cm.Mutations(), chGen against hiddenGen).
-	chHash      uint64
-	chGen       uint64
-	chMut       uint64
-	chHashValid bool
 
 	// Cycle counter since the last full configuration or reset.
 	cycle int64

@@ -146,68 +146,10 @@ func (f *FPGA) StateHash() uint64 {
 	return f.cm.Hash(h)
 }
 
-// ConfigHiddenHash digests configuration memory plus all hidden state
-// (half-latch keepers, stuck overlay, the unprogrammed flag) — everything
-// that determines campaign behaviour once user state has been reset.
-// Deliberately excludes user state (ffVal, nets, BRAM output registers):
-// board replicas parked between campaigns hold arbitrary user state, which
-// ResetCampaignState neutralizes before every injection, so two devices
-// with equal ConfigHiddenHash inputs are interchangeable campaign
-// substrates. The board replica pool keys on it.
-//
-// Memoized: every input is covered by a generation counter (cm.Mutations()
-// for configuration bits, hiddenGen for half-latches, the stuck overlay,
-// control-logic upsets and reconfiguration), so a repeat call on an
-// untouched device returns the cached digest without re-reading anything —
-// campaign plan lookups call this once per Run.
-func (f *FPGA) ConfigHiddenHash() uint64 {
-	if f.chHashValid && f.chGen == f.hiddenGen && f.chMut == f.cm.Mutations() {
-		return f.chHash
-	}
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
-	mixBools := func(s []bool) {
-		var acc, n uint64
-		for _, v := range s {
-			acc <<= 1
-			if v {
-				acc |= 1
-			}
-			if n++; n == 64 {
-				mix(acc)
-				acc, n = 0, 0
-			}
-		}
-		mix(acc<<1 | n)
-	}
-	if f.unprogrammed {
-		mix(0xDEAD)
-	}
-	mixBools(f.inHL)
-	mixBools(f.llHL)
-	mixBools(f.ceHL)
-	var stuckAcc uint64
-	for k, v := range f.stuck {
-		e := uint64(k.R)<<40 | uint64(k.C)<<20 | uint64(k.S)<<1
-		if v {
-			e |= 1
-		}
-		e *= 0x9E3779B97F4A7C15
-		stuckAcc += e
-	}
-	mix(stuckAcc)
-	h = f.cm.Hash(h)
-	f.chHash, f.chGen, f.chMut, f.chHashValid = h, f.hiddenGen, f.cm.Mutations(), true
-	return h
-}
-
 // HiddenGen returns the hidden-state mutation counter: it advances on every
 // half-latch flip/restore, stuck-overlay edit, control-logic upset and
-// reconfiguration, letting callers cache HiddenStateEqual verdicts (and the
-// ConfigHiddenHash memo) between mutations.
+// reconfiguration, letting callers cache HiddenStateEqual verdicts between
+// mutations.
 func (f *FPGA) HiddenGen() uint64 { return f.hiddenGen }
 
 // HistoryCoupled reports whether the configuration carries live state that

@@ -196,16 +196,5 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	rep := buildReport(&cfg, model, flares, outcomes)
-
-	stats.boards.Add(int64(cfg.Boards) * int64(len(cfg.Strategies)))
-	stats.strikes.Add(rep.Env.Strikes)
-	for _, sr := range rep.Strategies {
-		stats.scrubCycles.Add(sr.ScrubCycles)
-		stats.repairs.Add(sr.Repairs)
-		stats.fullReconfigs.Add(sr.FullReconfigs)
-		stats.telemetryFrames.Add(sr.Telemetry.Frames)
-		stats.telemetryBytes.Add(sr.Telemetry.Bytes)
-	}
-	return rep, nil
+	return buildReport(&cfg, model, flares, outcomes), nil
 }

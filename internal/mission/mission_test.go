@@ -201,29 +201,3 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestScrubStatsAdvance checks the process-wide counters campaignd exports.
-func TestScrubStatsAdvance(t *testing.T) {
-	before := ScrubStats()
-	rep, err := Run(testConfig(13, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := ScrubStats()
-	if d := after.BoardsSimulated - before.BoardsSimulated; d != int64(4*len(rep.StrategyNames)) {
-		t.Errorf("BoardsSimulated advanced by %d, want %d", d, 4*len(rep.StrategyNames))
-	}
-	if after.Strikes-before.Strikes != rep.Env.Strikes {
-		t.Errorf("Strikes advanced by %d, report says %d", after.Strikes-before.Strikes, rep.Env.Strikes)
-	}
-	if after.ScrubCycles <= before.ScrubCycles {
-		t.Error("ScrubCycles did not advance")
-	}
-	var wantFrames int64
-	for _, sr := range rep.Strategies {
-		wantFrames += sr.Telemetry.Frames
-	}
-	if d := after.TelemetryFrames - before.TelemetryFrames; d != wantFrames {
-		t.Errorf("TelemetryFrames advanced by %d, want %d", d, wantFrames)
-	}
-}

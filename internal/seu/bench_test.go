@@ -11,8 +11,9 @@ import (
 
 // BenchmarkFig8Vector times a Fig. 8 injection window (MULT 12, small
 // geometry, 2000 bits, one worker) on the production path, the window the
-// historical BENCH_PR3/6/7/8.json records measure. It is a profiling entry
-// point (-cpuprofile/-memprofile), not a gate: CI gates speed with paired
+// historical BENCH_PR3/6/7/8.json records measure. Each iteration is a
+// whole campaign and pays the compile and the pre-plan, as every real
+// campaign does. It is a profiling entry point (-cpuprofile/-memprofile), not a gate: CI gates speed with paired
 // runs of the repository benchmark (bench/).
 func BenchmarkFig8Vector(b *testing.B) {
 	g := device.Small()

@@ -134,16 +134,15 @@ type ChunkRunner struct {
 	// limit and expected are selectionPlan's sweep end and injection
 	// count, kept because the scan costs a hash per bit when sampling.
 	limit, expected int64
-	// tag/pooled drive replica-pool bookkeeping: clones are acquired from
-	// the pool and Release parks them; the base runner's board belongs to
-	// the caller and is never pooled.
-	tag    uint64
-	pooled bool
+	// clone marks a runner made by Clone, whose board Release may drop;
+	// the base runner's board belongs to the caller.
+	clone bool
 }
 
 // NewChunkRunner prepares bd for chunked execution of the campaign opts
-// describes: kernel selection, golden snapshot, and (if enabled) the static
-// triage mask — exactly the preamble of Run.
+// describes: kernel selection, golden snapshot, (if enabled) the static
+// triage mask and, on the vector kernel, the compiled design and pre-plan —
+// exactly the preamble of Run.
 func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	if opts.ObserveCycles <= 0 || opts.CleanRun <= 0 {
 		return nil, fmt.Errorf("seu: non-positive cycle counts")
@@ -159,9 +158,6 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 		fast: opts.FastSim && !bd.DUT.HistoryCoupled(),
 		opts: opts,
 	}
-	if poolEligible(bd) {
-		r.tag = bd.CampaignFingerprint()
-	}
 	if opts.Triage {
 		r.tri = newTriage(bd)
 	}
@@ -170,14 +166,13 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	return r, nil
 }
 
-// Clone returns a runner on a worker board replica — a pooled one from an
-// earlier campaign of this design when available, else a fresh clone. The
-// triage mask and golden snapshot are immutable and shared; the
-// dirty-frame tracker and vector batch scheduler are per replica. The seed
-// only decorrelates a fresh replica's idle rng — results are independent
-// of it.
+// Clone returns a runner on a fresh replica of r's board. The triage mask,
+// golden snapshot and pre-plan are immutable and shared; the dirty-frame
+// tracker and vector batch scheduler are per replica. The seed only
+// decorrelates the replica's idle rng — results are independent of it.
 func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
-	wb := acquireReplica(r.bd, r.tag, seed)
+	replicasCloned.Add(1)
+	wb := r.bd.Clone(seed)
 	wb.SetEventDriven(r.opts.Kernel.scalarEventDriven())
 	return &ChunkRunner{
 		bd:       wb,
@@ -189,22 +184,18 @@ func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
 		plan:     r.plan,
 		limit:    r.limit,
 		expected: r.expected,
-		tag:      r.tag,
-		pooled:   true,
+		clone:    true,
 	}
 }
 
-// Release parks a cloned runner's board replica for reuse by later
-// campaigns of the same design. Call it only after every chunk handed to
-// this runner completed without error — an aborted runner may hold a board
-// mid-corruption, and such boards must be discarded (simply don't call
-// Release). No-op on the base runner, whose board belongs to the caller.
+// Release drops a cloned runner's board replica and lane machines, so a
+// finished worker's memory can be reclaimed while other chunks still run.
+// The runner must not Run again. No-op on the base runner, whose board
+// belongs to the caller.
 func (r *ChunkRunner) Release() {
-	if !r.pooled {
-		return
+	if r.clone {
+		r.bd, r.fs, r.vr = nil, nil, nil
 	}
-	releaseReplica(r.bd, r.tag, true)
-	r.pooled = false
 }
 
 // Run executes one chunk, returning its serializable result. A cancelled

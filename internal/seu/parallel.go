@@ -12,7 +12,7 @@ import (
 
 // In-process chunk execution. A campaign's bit-address space is cut into
 // contiguous chunks (PlanChunks); RunChunks hands them out from a shared
-// cursor to a base runner plus pooled replicas of its board, each running
+// cursor to a base runner plus cloned replicas of its board, each running
 // the injection loop into the chunk's own ChunkResult. Because every
 // injection starts from canonical board state (board.ResetCampaignState)
 // and samples by per-bit hash, which replica runs which chunk cannot
@@ -36,11 +36,10 @@ const minInjectionsPerWorker = 64
 // Closing stop ends the hand-out of new chunks; chunks already running
 // finish and commit, and RunChunks returns nil with the rest unrun. The
 // first chunk or commit error, or ctx's end, aborts the run and is
-// returned. A clone parks in the replica pool as soon as its worker runs
-// out of chunks or sees stop, every chunk it ran committed; after an abort
-// it is dropped, since it may hold a board mid-corruption. busy, when
-// non-nil, is told +1 and -1 around each chunk run, for a caller's
-// in-flight gauge.
+// returned. Each worker releases its runner as soon as it stops, so a
+// finished clone's board and lane machines are not kept while a long chunk
+// finishes elsewhere. busy, when non-nil, is told +1 and -1 around each
+// chunk run, for a caller's in-flight gauge.
 func RunChunks(ctx context.Context, base *ChunkRunner, specs []ChunkSpec, workers int, stop <-chan struct{}, busy func(delta int), commit func(ChunkSpec, *ChunkResult) error) error {
 	workers = max(1, min(workers, len(specs)))
 	runners := make([]*ChunkRunner, workers)
@@ -54,10 +53,12 @@ func RunChunks(ctx context.Context, base *ChunkRunner, specs []ChunkSpec, worker
 		next atomic.Int64
 		wg   sync.WaitGroup
 	)
-	for _, r := range runners {
+	for i, r := range runners {
+		runners[i] = nil // a clone is unreachable once its worker exits
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer r.Release()
 			for !closed(stop) {
 				if ctx.Err() != nil {
 					return
@@ -81,9 +82,6 @@ func RunChunks(ctx context.Context, base *ChunkRunner, specs []ChunkSpec, worker
 					return
 				}
 			}
-			// Parking now, not after the slowest worker, also frees this
-			// worker's lane machines while a long chunk finishes elsewhere.
-			r.Release()
 		}()
 	}
 	wg.Wait()

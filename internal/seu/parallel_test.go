@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -150,8 +149,8 @@ func TestMaxBitsCapsIdenticallyAcrossWorkers(t *testing.T) {
 
 // TestRunChunks pins the in-process executor's contract at workers {1, 3}
 // and chunk counts {1, 64}: every chunk commits exactly once; a commit
-// error or a cancelled ctx is returned and parks no replica; closing stop
-// hands out no new chunk while chunks already running still commit.
+// error or a cancelled ctx is returned; closing stop hands out no new chunk
+// while chunks already running still commit.
 func TestRunChunks(t *testing.T) {
 	spec, err := designs.ByName("MULT 12")
 	if err != nil {
@@ -160,9 +159,7 @@ func TestRunChunks(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Sample = 0.02
 	opts.Seed = 3
-	// newBase returns a runner on a board of a fresh placement, whose
-	// replica pool only the run under test can fill. (A drained shared pool
-	// would not do: sync.Pool cannot be emptied reliably across Ps.)
+	// newBase returns a runner on a board of a fresh placement.
 	newBase := func(t *testing.T) *ChunkRunner {
 		p, err := place.Place(spec.Build(), device.Tiny())
 		if err != nil {
@@ -177,13 +174,6 @@ func TestRunChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 		return r
-	}
-	// assertNoneParked must run on a single P (see the failure subtests):
-	// sync.Pool keeps a private slot per P that no other P can Get from.
-	assertNoneParked := func(t *testing.T, base *ChunkRunner) {
-		if pool := replicaPoolFor(base.bd.Placed); pool != nil && pool.Get() != nil {
-			t.Fatal("aborted run parked a replica in the pool")
-		}
 	}
 	errCommit := errors.New("commit failed")
 	for _, workers := range []int{1, 3} {
@@ -214,30 +204,24 @@ func TestRunChunks(t *testing.T) {
 			})
 
 			t.Run(name+"/commit-error", func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-				base := newBase(t)
-				err := RunChunks(context.Background(), base, specs, workers, nil, nil, func(ChunkSpec, *ChunkResult) error {
+				err := RunChunks(context.Background(), newBase(t), specs, workers, nil, nil, func(ChunkSpec, *ChunkResult) error {
 					return errCommit
 				})
 				if !errors.Is(err, errCommit) {
 					t.Fatalf("RunChunks returned %v, want the commit error", err)
 				}
-				assertNoneParked(t, base)
 			})
 
 			t.Run(name+"/ctx-cancel", func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				base := newBase(t)
-				err := RunChunks(ctx, base, specs, workers, nil, nil, func(ChunkSpec, *ChunkResult) error {
+				err := RunChunks(ctx, newBase(t), specs, workers, nil, nil, func(ChunkSpec, *ChunkResult) error {
 					cancel()
 					return nil
 				})
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("RunChunks returned %v, want context.Canceled", err)
 				}
-				assertNoneParked(t, base)
 			})
 
 			t.Run(name+"/stop", func(t *testing.T) {

@@ -9,25 +9,20 @@ import (
 	"repro/internal/board"
 	"repro/internal/device"
 	"repro/internal/fpga"
-	"repro/internal/place"
 )
 
 // Amortized batch planning. A vector-kernel campaign used to classify every
 // sampled bit (Classify + PlanVectorDelta) inside the per-worker injection
-// loop — once per chunk visit, once more per pooled-replica reuse. The
-// pre-plan hoists that into one pass over the sampled address range, run
-// once per campaign. The plan is sparse: only bits that need board work get
-// a planEntry (disposition, ready-to-apply overlay delta, stimulus seed);
-// padding, extra-frame, triage-inert and planner-benign bits — the vast
-// majority on a large device — are only counted, per fixed block of
-// addresses. Workers walk their window of the entry slice and fold the
+// loop, once per chunk visit. The pre-plan hoists that into one pass over
+// the sampled address range, run once per campaign. The plan is sparse:
+// only bits that need board work get a planEntry (disposition,
+// ready-to-apply overlay delta, stimulus seed); padding, extra-frame,
+// triage-inert and planner-benign bits — the vast majority on a large
+// device — are only counted, per fixed block of addresses. Workers walk their window of the entry slice and fold the
 // window's injection tallies from whole blocks plus a bit-by-bit rescan of
-// the two partial edge blocks. The plan (and the compiled struct-of-arrays
-// design it carries) is cached per placement keyed by the board's
-// CampaignFingerprint and the selection-relevant options, so repeated
-// campaigns over the same substrate — crosscheck lattice points, benchmark
-// variants, chunked re-runs — skip both the compile and the classification
-// pass entirely.
+// the two partial edge blocks. NewChunkRunner builds the plan (and the
+// compiled struct-of-arrays design it carries) once per campaign; the
+// campaign's clones share it.
 
 // planAct is a board-work bit's precomputed disposition.
 type planAct uint8
@@ -68,7 +63,7 @@ type planBlock struct {
 
 // prePlan is a campaign's classified injection set plus the compiled design
 // every lane machine shares. Immutable once built; shared read-only across
-// workers, chunks, and pooled replicas.
+// workers and chunks.
 type prePlan struct {
 	comp *fpga.CompiledDesign
 	// entries holds the bits needing board work (planVector, planCarry,
@@ -125,48 +120,27 @@ func (p *prePlan) tally(lo, hi int64, opts Options, g device.Geometry, tri *tria
 	return
 }
 
-// Campaign-plane counters (exported through campaignd's /metrics).
+// Campaign-plane counters.
 var (
-	plannerCalls    atomic.Int64 // PlanVectorDelta invocations (≤1 per sampled bit per campaign)
-	planCacheHits   atomic.Int64
-	planCacheMisses atomic.Int64
-	poolHits        atomic.Int64 // replica-pool reuses
-	poolMisses      atomic.Int64 // fresh board clones
+	plannerCalls   atomic.Int64 // PlanVectorDelta invocations (≤1 per sampled bit per campaign)
+	plansBuilt     atomic.Int64 // pre-plans built (one per vector campaign)
+	replicasCloned atomic.Int64 // worker board replicas cloned
 )
 
-// PlanCacheStats returns cumulative pre-plan cache hits and misses.
+// PlanCacheStats returns (0, pre-plans built). Every campaign builds its
+// own plan; nothing is cached across campaigns. The name and the zero hit
+// count stay because the repository benchmark reports them as
+// seu.plan_cache_hits and seu.plan_cache_misses.
 func PlanCacheStats() (hits, misses int64) {
-	return planCacheHits.Load(), planCacheMisses.Load()
+	return 0, plansBuilt.Load()
 }
 
-// PoolStats returns cumulative replica-pool hits (reuses) and misses
-// (fresh clones).
+// PoolStats returns (0, board replicas cloned). Every worker replica is a
+// fresh clone; nothing is pooled across campaigns. The name and the zero
+// hit count stay because the repository benchmark reports them as
+// seu.pool_hits and seu.pool_misses.
 func PoolStats() (hits, misses int64) {
-	return poolHits.Load(), poolMisses.Load()
-}
-
-// planKey is everything besides the substrate fingerprint that shapes a
-// plan: the selection set (seed/sample/limit derived from MaxBits) and the
-// triage classifier baked into the entries.
-type planKey struct {
-	fp     uint64
-	seed   int64
-	sample float64
-	limit  int64
-	triage bool
-}
-
-// maxCachedPlanEntries bounds the size of a cached plan: a dense design's
-// sweep could still hold millions of board-work entries, which is not
-// worth parking between campaigns. The compiled design is cached
-// regardless.
-const maxCachedPlanEntries = 1 << 20
-
-type planCacheEntry struct {
-	fp   uint64
-	comp *fpga.CompiledDesign
-	key  planKey
-	plan *prePlan // nil when the entry slice was too large to cache
+	return 0, replicasCloned.Load()
 }
 
 // pprof label sets for the vector path's stages (satellite of the SoA
@@ -177,52 +151,19 @@ var (
 	labelsEmit     = pprof.Labels("kernel", "vector", "phase", "emit")
 )
 
-// campaignPlan gates pre-planning on vector eligibility: the oracle needs
-// no plan, and designs with history-coupled state (or no design at all) run
-// every bit on the scalar path regardless of Kernel.
+// campaignPlan compiles bd's design and classifies the campaign's sampled
+// range, once per campaign. The oracle needs no plan, and designs with
+// history-coupled state (or no design at all) run every bit on the scalar
+// path regardless of Kernel; for those it returns nil.
 func campaignPlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage) *prePlan {
 	if opts.Kernel != KernelVector || bd.DUT.HistoryCoupled() || bd.DUT.Unprogrammed() {
 		return nil
 	}
-	return prePlanFor(bd, opts, limit, tri)
-}
-
-// prePlanFor returns the campaign's pre-plan, from the per-placement cache
-// when the substrate fingerprint and selection options match, else by
-// compiling and classifying now. The caller guarantees vector eligibility
-// (KernelVector, not history-coupled, programmed).
-func prePlanFor(bd *board.SLAAC1V, opts Options, limit int64, tri *triage) *prePlan {
-	key := planKey{
-		fp:     bd.CampaignFingerprint(),
-		seed:   opts.Seed,
-		sample: opts.Sample,
-		limit:  limit,
-		triage: tri != nil,
-	}
-	st := placementFor(bd.Placed, true)
-	var comp *fpga.CompiledDesign
-	if ce := st.plan.Load(); ce != nil && ce.fp == key.fp {
-		if ce.plan != nil && ce.key == key {
-			planCacheHits.Add(1)
-			return ce.plan
-		}
-		// Same substrate, different selection (or uncached entries):
-		// reuse the compiled design, rebuild the classification.
-		comp = ce.comp
-	}
-	planCacheMisses.Add(1)
+	plansBuilt.Add(1)
 	var plan *prePlan
 	pprof.Do(context.Background(), labelsPlan, func(context.Context) {
-		if comp == nil {
-			comp = board.CompileVector(bd)
-		}
-		plan = buildPrePlan(bd, opts, limit, tri, comp)
+		plan = buildPrePlan(bd, opts, limit, tri, board.CompileVector(bd))
 	})
-	ce := &planCacheEntry{fp: key.fp, comp: comp, key: key}
-	if len(plan.entries) <= maxCachedPlanEntries {
-		ce.plan = plan
-	}
-	st.plan.Store(ce)
 	return plan
 }
 
@@ -269,12 +210,4 @@ func buildPrePlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage, com
 	}
 	plannerCalls.Add(calls)
 	return p
-}
-
-// planCacheFor exposes cache internals to tests.
-func planCacheFor(p *place.Placed) *planCacheEntry {
-	if st := placementFor(p, false); st != nil {
-		return st.plan.Load()
-	}
-	return nil
 }

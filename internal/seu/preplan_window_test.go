@@ -210,6 +210,10 @@ func TestChunkPlanMatchesRunContext(t *testing.T) {
 				results = append(results, cr)
 			}
 			clone.Release()
+			base.Release()
+			if clone.bd != nil || base.bd == nil {
+				t.Fatal("Release must drop a clone's board and keep the base runner's")
+			}
 			got := base.AssembleReport(results)
 			compareReports(t, label, want, got)
 			if got.TriageSkipped != want.TriageSkipped {

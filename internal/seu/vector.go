@@ -51,7 +51,7 @@ const (
 )
 
 // Vector-kernel activity counters, exported through VectorKernelStats onto
-// campaignd's /metrics plane (same pattern as PlanCacheStats/PoolStats).
+// campaignd's /metrics plane.
 var (
 	vectorSweepsSettled     atomic.Int64 // worklist rounds drained (== productive sweeps)
 	vectorWorklistDrains    atomic.Int64 // Settle calls that found pending work

@@ -164,41 +164,3 @@ func TestEmitBatchOrderIndependent(t *testing.T) {
 		}
 	}
 }
-
-// TestReplicaPool covers the board-pool soundness rules: a cleanly released
-// replica is reused for a matching fingerprint, a mismatched fingerprint is
-// dropped rather than handed out, and an unclean release discards the board.
-func TestReplicaPool(t *testing.T) {
-	spec, err := designs.ByName("MULT 12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bd := boardFor(t, spec.Build(), device.Tiny())
-	if !poolEligible(bd) {
-		t.Fatal("plain design must be pool-eligible")
-	}
-	tag := bd.CampaignFingerprint()
-
-	wb := acquireReplica(bd, tag, 1)
-	if wb == bd {
-		t.Fatal("acquire must clone, not hand out the base board")
-	}
-	releaseReplica(wb, tag, true)
-	if got := acquireReplica(bd, tag, 2); got != wb {
-		t.Fatal("matching fingerprint must reuse the parked replica")
-	}
-
-	// A replica parked under a different fingerprint must never be handed
-	// out for this base — and is dropped, not re-parked.
-	releaseReplica(wb, tag^0xdeadbeef, true)
-	if got := acquireReplica(bd, tag, 3); got == wb {
-		t.Fatal("fingerprint mismatch handed out a stale substrate")
-	}
-
-	// Unclean completion discards the board entirely.
-	wb2 := acquireReplica(bd, tag, 4)
-	releaseReplica(wb2, tag, false)
-	if got := acquireReplica(bd, tag, 5); got == wb2 {
-		t.Fatal("unclean release parked a possibly-corrupt board")
-	}
-}
