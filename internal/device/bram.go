@@ -76,6 +76,54 @@ func (g Geometry) BRAMPortBitAddr(bc, blk, k int) BitAddr {
 	return BitAddr(int64(g.bramFrame(bc, f))*int64(g.FrameLength()) + int64(pos))
 }
 
+// bramSlot splits a BRAM-frame address into its frame within the column,
+// block, and offset within the block's 144-bit region. ok is false outside
+// the BRAM frames and past the last block's region (frame padding).
+func (g Geometry) bramSlot(a BitAddr) (f, blk, rel int, ok bool) {
+	bf := a.Frame(g) - g.CLBFrames()
+	if a < 0 || bf < 0 || bf >= g.BRAMFrames() {
+		return 0, 0, 0, false
+	}
+	off := a.Offset(g)
+	blk = off / bramRegionBits
+	if blk >= g.BRAMBlocksPerCol() {
+		return 0, 0, 0, false
+	}
+	return bf % BRAMFramesPerCol, blk, off % bramRegionBits, true
+}
+
+// BRAMContentSlot is the inverse of BRAMContentBitAddr: the block (within
+// its column), word and data bit a content-frame address holds. ok is false
+// for every other address, including the content slots past word
+// BRAMWords-1 that no word maps to.
+func (g Geometry) BRAMContentSlot(a BitAddr) (blk, word, bit int, ok bool) {
+	f, blk, rel, ok := g.bramSlot(a)
+	if !ok || f >= BRAMContentFrames {
+		return 0, 0, 0, false
+	}
+	idx := rel*BRAMContentFrames + f
+	if idx >= BRAMWords*BRAMWidth {
+		return 0, 0, 0, false
+	}
+	return blk, idx / BRAMWidth, idx % BRAMWidth, true
+}
+
+// BRAMPortSlot is the inverse of BRAMPortBitAddr: the block (within its
+// column) and port configuration bit k a port-frame address holds. ok is
+// false for every other address, including the port slots past
+// BRAMPortBits that no field maps to.
+func (g Geometry) BRAMPortSlot(a BitAddr) (blk, k int, ok bool) {
+	f, blk, rel, ok := g.bramSlot(a)
+	if !ok || f < BRAMContentFrames {
+		return 0, 0, false
+	}
+	k = rel*(BRAMFramesPerCol-BRAMContentFrames) + f - BRAMContentFrames
+	if k >= BRAMPortBits {
+		return 0, 0, false
+	}
+	return blk, k, true
+}
+
 // blockOfBRAMOffset recovers the block index from an in-frame offset.
 func blockOfBRAMOffset(g Geometry, off int) int {
 	blk := off / bramRegionBits

@@ -159,6 +159,66 @@ func TestBRAMAddressesAreDisjointAndInBRAMFrames(t *testing.T) {
 	}
 }
 
+// TestBRAMSlotRoundTrip pins BRAMContentSlot and BRAMPortSlot as the exact
+// inverses of BRAMContentBitAddr and BRAMPortBitAddr: every word bit and
+// port field round-trips, every other BRAM-frame address reads unmapped,
+// and the unmapped count is what the frame layout leaves over.
+func TestBRAMSlotRoundTrip(t *testing.T) {
+	for _, g := range []Geometry{Tiny(), Small(), XQVR1000()} {
+		for bc := 0; bc < g.BRAMCols; bc++ {
+			for blk := 0; blk < g.BRAMBlocksPerCol(); blk++ {
+				for w := 0; w < BRAMWords; w++ {
+					for i := 0; i < BRAMWidth; i++ {
+						a := g.BRAMContentBitAddr(bc, blk, w, i)
+						b, gw, gi, ok := g.BRAMContentSlot(a)
+						if !ok || b != blk || gw != w || gi != i || g.Classify(a).C != bc {
+							t.Fatalf("%s: BRAMContentSlot(%d) = (%d,%d,%d,%v), want (%d,%d,%d)", g, a, b, gw, gi, ok, blk, w, i)
+						}
+					}
+				}
+				for k := 0; k < BRAMPortBits; k++ {
+					a := g.BRAMPortBitAddr(bc, blk, k)
+					b, gk, ok := g.BRAMPortSlot(a)
+					if !ok || b != blk || gk != k || g.Classify(a).C != bc {
+						t.Fatalf("%s: BRAMPortSlot(%d) = (%d,%d,%v), want (%d,%d)", g, a, b, gk, ok, blk, k)
+					}
+				}
+			}
+		}
+		fl := int64(g.FrameLength())
+		var contentUnmapped, portUnmapped int64
+		for a := int64(g.CLBFrames()) * fl; a < int64(g.CLBFrames()+g.BRAMFrames())*fl; a++ {
+			addr := BitAddr(a)
+			bc := g.Classify(addr).C
+			blk, w, i, cok := g.BRAMContentSlot(addr)
+			pblk, k, pok := g.BRAMPortSlot(addr)
+			if cok && pok {
+				t.Fatalf("%s: address %d maps to both content and port", g, a)
+			}
+			switch kind := g.Classify(addr).Kind; {
+			case kind == KindBRAMContent && !cok:
+				contentUnmapped++
+			case kind == KindBRAMPort && !pok:
+				portUnmapped++
+			case cok && g.BRAMContentBitAddr(bc, blk, w, i) != addr:
+				t.Fatalf("%s: content slot of %d does not map back", g, a)
+			case pok && g.BRAMPortBitAddr(bc, pblk, k) != addr:
+				t.Fatalf("%s: port slot of %d does not map back", g, a)
+			}
+		}
+		frames := int64(g.BRAMCols) * fl
+		if want := frames*BRAMContentFrames - int64(g.BRAMBlocks())*BRAMWords*BRAMWidth; contentUnmapped != want {
+			t.Errorf("%s: %d unmapped content addresses, want %d", g, contentUnmapped, want)
+		}
+		if want := frames*(BRAMFramesPerCol-BRAMContentFrames) - int64(g.BRAMBlocks())*BRAMPortBits; portUnmapped != want {
+			t.Errorf("%s: %d unmapped port addresses, want %d", g, portUnmapped, want)
+		}
+	}
+	if _, _, _, ok := Tiny().BRAMContentSlot(0); ok {
+		t.Error("a CLB-frame address mapped to a content slot")
+	}
+}
+
 func TestNetIDRoundTrip(t *testing.T) {
 	g := Tiny()
 	n := g.NumNets()

@@ -106,3 +106,129 @@ func BenchmarkEventVectorStep(b *testing.B) {
 		ev.Step()
 	}
 }
+
+// TestPendingLineRefreshHold guards the per-lane pending-refresh mask
+// (llPendW, refreshLineFrom). Column long line L of the BRAM-adjacent
+// column is a wired-AND of BRAM dout bit 0 and a registered CLB output X;
+// consumer Y reads L and follows X's LUT in evaluation order. MaxSweeps is 1, so
+// each Settle freezes after one round and Y keeps whatever L it saw
+// mid-round. Per lane, pins script one clock edge at which:
+//
+//   - lane 0: only the BRAM output moves. X's change in lanes 1 and 2
+//     triggers a refresh of L, but lane 0's scalar witness sees the move
+//     only at the end-of-sweep pass, so the lane must be held;
+//   - lane 1: only X moves (L's value stays 0);
+//   - lane 2: both move. X is the lane's own driver, so its scalar witness
+//     refreshes L mid-sweep with the BRAM move applied, and the lane must
+//     not be held;
+//   - lane 3: nothing moves.
+//
+// Refreshing every lane at the trigger fails lane 0; holding every pending
+// lane fails lane 2.
+func TestPendingLineRefreshHold(t *testing.T) {
+	g := device.Tiny()
+	ac := g.BRAMAdjCol(0)
+	b := NewConfigBuilder(g)
+	// feed carries west pin (r, 0) to LUT l of (r, ac) over row long line
+	// r/0.
+	feed := func(r, l int) {
+		b.SetLUT(r, 0, 0, TruthBuf)
+		b.RouteInput(r, 0, 0, 0, 4) // west pin (r, 0)
+		b.DriveLL(r, 0, 0, 0)
+		b.SetLUT(r, ac, l, TruthBuf)
+		b.RouteInput(r, ac, l, 0, 24) // row long line r/0
+	}
+	// Read port: enable tied high, address bit 0 from pin a.
+	b.SetLUT(0, ac, 2, TruthOne)
+	b.BindBRAMEN(0, 0, 0, 2)
+	feed(1, 0)
+	b.BindBRAMAddr(0, 0, 0, 1, 0)
+	b.SetBRAMWord(0, 0, 1, 0xFFFF)
+	b.DriveBRAMDout(0, 0, 0, 0) // L = column line ac/0
+	// X: pin b, registered at (3, ac) out 1, also driving L.
+	feed(3, 1)
+	b.SetFF(3, ac, 1, false, device.CEConstOne, 0, false)
+	b.SetOutMux(3, ac, 1, true)
+	b.DriveLL(3, ac, device.LongLinesPerRow, 1)
+	// Y at (4, ac) buffers L (column line 0). It also reads a two-LUT
+	// constant chain from the west, which puts it two combinational levels
+	// deep and so after X's LUT in evaluation order. (X itself is
+	// registered, hence no ordering edge.)
+	b.SetLUT(4, ac-2, 0, TruthOne)
+	b.SetLUT(4, ac-1, 0, TruthBuf)
+	b.RouteInput(4, ac-1, 0, 0, 4) // west out 0
+	b.SetLUT(4, ac, 0, TruthBuf)
+	b.RouteInput(4, ac, 0, 0, 28) // column long line ac/0
+	b.RouteInput(4, ac, 0, 1, 4)  // west out 0
+
+	f, err := b.Device()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetEventDriven(false)
+	for p := 0; p < g.Pins(); p++ {
+		f.SetPin(p, false)
+	}
+	f.Reset()
+	pinA, pinB := g.PinWest(1, 0), g.PinWest(3, 0)
+	const lanes, edge = 4, 3
+	script := func(lane, step int) (a, bv bool) {
+		on := step >= edge
+		switch lane {
+		case 0:
+			return on, true
+		case 1:
+			return false, on
+		case 2:
+			return on, on
+		}
+		return false, false
+	}
+
+	v := NewVector(f.Compile())
+	v.ResetBatch(lanes)
+	v.MaxSweeps = 1
+	sc := make([]*FPGA, lanes)
+	for i := range sc {
+		sc[i] = f.Clone()
+		sc[i].MaxSweeps = 1
+	}
+	for step := 0; step < edge+3; step++ {
+		var wa, wb uint64
+		for i, s := range sc {
+			a, bv := script(i, step)
+			s.SetPin(pinA, a)
+			s.SetPin(pinB, bv)
+			if a {
+				wa |= 1 << uint(i)
+			}
+			if bv {
+				wb |= 1 << uint(i)
+			}
+		}
+		v.SetPinWord(pinA, wa)
+		v.SetPinWord(pinB, wb)
+		for _, ph := range []struct {
+			what   string
+			vec    func(*Vector)
+			scalar func(*FPGA)
+		}{
+			{"settle", (*Vector).Settle, func(s *FPGA) { s.Settle() }},
+			{"clock", (*Vector).Clock, (*FPGA).clock},
+			{"second settle", (*Vector).Settle, func(s *FPGA) { s.Settle() }},
+		} {
+			ph.vec(v)
+			for i, s := range sc {
+				ph.scalar(s)
+				if d := laneMatchesScalar(v, i, s); d != "" {
+					t.Fatalf("step %d after %s: lane %d diverged from scalar (%s)", step, ph.what, i, d)
+				}
+			}
+		}
+	}
+	// The fixture is only a guard if the scripted edge really moved lane
+	// 0's BRAM output.
+	if got := sc[0].BRAMOut(0) & 1; got != 1 {
+		t.Fatalf("lane 0's BRAM output never moved (dout %#x)", sc[0].BRAMOut(0))
+	}
+}

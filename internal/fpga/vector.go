@@ -30,12 +30,16 @@ import (
 // superset in every lane of what the scalar kernel follows, while a refresh
 // is a stateless recompute, so spurious triggers are no-ops.
 //
+// A BRAM content flip is an overlay too: the block has no writer, so the
+// flipped word is a per-lane XOR the lane's synchronous read applies when it
+// addresses that word. Content and port slots no decoder reads are inert.
+//
 // Configurations a per-lane overlay cannot represent exactly — SRL16 shift
-// registers, writable BRAM, stuck-at overlays, LUT-mode flips — are never
-// given a lane: PlanVectorDelta demotes those bits to the scalar path.
-// Demoted bits whose post-repair configuration is provably golden
-// (DemotedWindowable) may still ride lanes for their clean-run/persistence
-// windows via ScatterLane.
+// registers, writable BRAM, stuck-at overlays, LUT-mode flips, mapped BRAM
+// port fields — are never given a lane: PlanVectorDelta demotes those bits
+// to the scalar path. LUT-mode flips, whose post-repair configuration is
+// provably golden (DemotedWindowable), still ride lanes for their
+// clean-run/persistence windows via ScatterLane.
 
 // vectorDeltaKind enumerates the behavioural effects a single configuration
 // bit flip can have relative to the golden decode.
@@ -53,19 +57,23 @@ const (
 	vdLLAdd
 	vdLLRemove
 	vdLLSrc
+	vdBRAMWord
 )
 
 // VectorDelta is the decoded behavioural effect of flipping one
 // configuration bit, expressed against the golden decode so a lane can
 // apply it as an overlay without re-decoding.
+//
+// vdBRAMWord reuses the CLB fields rather than growing every plan entry:
+// clb holds the dense BRAM block index, sel the word and bit the data bit.
 type VectorDelta struct {
 	kind vectorDeltaKind
-	clb  int32
+	clb  int32 // dense CLB index (dense BRAM block index for vdBRAMWord)
 	ll   int32 // dense long-line index (vdLL*)
 	l    uint8 // LUT / FF / output index within the CLB
 	in   uint8 // LUT input index (vdInSel)
-	bit  uint8 // truth-table bit (vdTruth)
-	sel  uint8 // new input/CE select (vdInSel, vdFFCE)
+	bit  uint8 // truth-table bit (vdTruth), data bit (vdBRAMWord)
+	sel  uint8 // new input/CE select (vdInSel, vdFFCE), word (vdBRAMWord)
 	mode device.CEMode
 	src  uint8 // golden driver source (vdLLRemove, vdLLSrc), new (vdLLAdd)
 	nsrc uint8 // flipped driver source (vdLLSrc)
@@ -79,14 +87,26 @@ func (d VectorDelta) Inert() bool { return d.kind == vdNone }
 // PlanVectorDelta translates a configuration-bit flip into its lane
 // overlay. ok=false demotes the bit to the scalar path: the flip creates
 // state the lane machinery does not model (an SRL16 whose truth table
-// shifts, BRAM content or port changes). The caller is responsible for
-// only planning against non-history-coupled devices (no SRLs, no writable
-// BRAM, no stuck overlay) whose decode is golden.
+// shifts, a changed BRAM port binding). A BRAM content bit that holds a
+// word bit becomes a word overlay; content and port slots that hold no
+// word bit or port field are decode-identical, like FF init bits. The
+// caller is responsible for only planning against non-history-coupled
+// devices (no SRLs, no writable BRAM, no stuck overlay) whose decode is
+// golden.
 func (f *FPGA) PlanVectorDelta(a device.BitAddr, info device.BitInfo) (VectorDelta, bool) {
 	switch info.Kind {
 	case device.KindPad, device.KindExtra:
 		return VectorDelta{}, true
-	case device.KindBRAMContent, device.KindBRAMPort:
+	case device.KindBRAMContent:
+		blk, w, i, ok := f.geom.BRAMContentSlot(a)
+		if !ok {
+			return VectorDelta{}, true // no word holds this slot
+		}
+		return VectorDelta{kind: vdBRAMWord, clb: int32(f.bramIndex(info.C, blk)), sel: uint8(w), bit: uint8(i)}, true
+	case device.KindBRAMPort:
+		if _, _, ok := f.geom.BRAMPortSlot(a); !ok {
+			return VectorDelta{}, true // no port field holds this slot
+		}
 		return VectorDelta{}, false
 	}
 	clb := int32(info.R*f.geom.Cols + info.C)
@@ -157,26 +177,20 @@ func (f *FPGA) PlanVectorDelta(a device.BitAddr, info device.BitInfo) (VectorDel
 // windows: after the scalar observe phase, the single-frame repair plus
 // column scrub provably restore the golden configuration, so the surviving
 // divergence is pure behavioural state a lane can carry via ScatterLane.
+// Only LUT-mode flips qualify:
 //
-//   - BRAM content flips: the flip lives in the injected frame (restored by
-//     the repair write) and, absent a valid write port (such designs are
-//     history-coupled and never planned), nothing else ever writes BRAM
-//     content.
 //   - LUT-mode flips: the transient SRL16 shifts only its own truth bits,
 //     which share the injected bit's CLB column — all inside the scrub
 //     window.
-//   - BRAM port flips stay fully scalar: a flipped write-enable/port field
-//     can corrupt content words in frames far outside the scrubbed column.
+//   - Mapped BRAM port flips stay fully scalar: a flipped port field
+//     rebinds the block's ports, and a flipped write enable stores content
+//     words; the observe phase of neither is a lane overlay.
 //   - SRL16 truth bits only demote on history-coupled designs, which never
 //     reach the vector path at all.
+//
+// BRAM content flips never demote: they ride lanes as word overlays.
 func (f *FPGA) DemotedWindowable(info device.BitInfo) bool {
-	switch info.Kind {
-	case device.KindBRAMContent:
-		return true
-	case device.KindLUT:
-		return info.CB >= device.CBLUTModeBase
-	}
-	return false
+	return info.Kind == device.KindLUT && info.CB >= device.CBLUTModeBase
 }
 
 // VectorSnapshot is a full behavioural-state snapshot (nets, LUT outputs,
@@ -227,6 +241,14 @@ type llLanePatch struct {
 	addID int32 // state index of an extra driver to AND in, -1 none
 }
 
+// bramLanePatch flips mask in content word `word` of one block, as seen by
+// lane's reads.
+type bramLanePatch struct {
+	lane uint8
+	word uint8
+	mask uint16
+}
+
 // Vector is the 64-lane simulation machine for one device. All Vectors
 // built from the same CompiledDesign share it read-only; only DUT Vectors
 // carry overlays. Per-lane state is one flat []uint64 indexed by the
@@ -255,6 +277,8 @@ type Vector struct {
 	dinvTouched []int32
 	llOver      [][]llLanePatch
 	llTouched   []int32
+	bramOver    [][]bramLanePatch
+	bramTouched []int32
 	// llAddByOut holds in-sweep refresh edges for drivers that exist only
 	// in some lane's overlay, keyed by the driving output's net ID.
 	llAddByOut   [][]int32
@@ -295,6 +319,7 @@ func NewVector(c *CompiledDesign) *Vector {
 		ceOver:      make([][]ceLanePatch, len(c.ceID)),
 		dinvXor:     make([]uint64, len(c.ceID)),
 		llOver:      make([][]llLanePatch, c.lls),
+		bramOver:    make([][]bramLanePatch, len(c.bramEnID)),
 		llAddByOut:  make([][]int32, len(c.byOutStart)-1),
 		work:        newWorklist(len(c.orderLUT)),
 		staleLLMark: make([]bool, c.lls),
@@ -351,6 +376,10 @@ func (v *Vector) ResetBatch(n int) {
 		v.llOver[ll] = v.llOver[ll][:0]
 	}
 	v.llTouched = v.llTouched[:0]
+	for _, bi := range v.bramTouched {
+		v.bramOver[bi] = v.bramOver[bi][:0]
+	}
+	v.bramTouched = v.bramTouched[:0]
 	for _, id := range v.llAddTouched {
 		v.llAddByOut[id] = v.llAddByOut[id][:0]
 	}
@@ -543,6 +572,13 @@ func (v *Vector) ApplyDelta(lane int, d VectorDelta) {
 		v.addLLPatch(d.ll, llLanePatch{lane: uint8(lane), skip: d.clb*4 + int32(d.src), addID: id})
 		v.addEdge(id, d.ll)
 		v.markLLStaleVec(d.ll, bit)
+	case vdBRAMWord:
+		// Content is read only at the clock edge, so nothing is scheduled:
+		// like the scalar reload, the flip shows at the next read.
+		if len(v.bramOver[d.clb]) == 0 {
+			v.bramTouched = append(v.bramTouched, d.clb)
+		}
+		v.bramOver[d.clb] = append(v.bramOver[d.clb], bramLanePatch{lane: uint8(lane), word: d.sel, mask: 1 << d.bit})
 	}
 }
 
@@ -637,6 +673,17 @@ func (v *Vector) RemoveDelta(lane int, d VectorDelta) {
 		// The lane's wired-AND reverts to golden at the next end-of-round
 		// refresh.
 		v.markLLStaleVec(d.ll, bit)
+	case vdBRAMWord:
+		// The output register keeps whatever the flipped word loaded until
+		// the next read, as in the scalar kernel.
+		ps := v.bramOver[d.clb]
+		for k := range ps {
+			if ps[k].lane == uint8(lane) {
+				ps[k] = ps[len(ps)-1]
+				v.bramOver[d.clb] = ps[:len(ps)-1]
+				break
+			}
+		}
 	}
 }
 
@@ -884,8 +931,8 @@ func (v *Vector) clockCLB(ci int32) {
 // clockBRAM registers the addressed content word into each enabled lane's
 // output register. Writable BRAM never reaches the vector path (such
 // designs are history-coupled), so the content array is shared read-only
-// across lanes and the scalar kernel's write/interference paths have no
-// vector counterpart.
+// across lanes, a lane's content flip is a XOR on the word it reads, and
+// the scalar kernel's write/interference paths have no vector counterpart.
 func (v *Vector) clockBRAM(bi int) {
 	c := v.c
 	enID := c.bramEnID[bi]
@@ -904,6 +951,7 @@ func (v *Vector) clockBRAM(bi int) {
 		}
 	}
 	mem := c.bramMem[bi]
+	ps := v.bramOver[bi]
 	out := v.state[int(c.bramBase)+bi*device.BRAMWidth:][:device.BRAMWidth]
 	var changed uint64
 	for rest := en; rest != 0; rest &= rest - 1 {
@@ -913,6 +961,11 @@ func (v *Vector) clockBRAM(bi int) {
 			addr |= int(addrW[j]>>lane&1) << uint(j)
 		}
 		word := mem[addr]
+		for i := range ps {
+			if p := &ps[i]; uint(p.lane) == lane && int(p.word) == addr {
+				word ^= p.mask
+			}
+		}
 		mask := uint64(1) << lane
 		for j := 0; j < device.BRAMWidth; j++ {
 			old := out[j]

@@ -13,6 +13,9 @@ import (
 // property test uses, then clears every history-coupled feature — SRL mode
 // bits and writable BRAM ports — so the decoded device is vector-eligible
 // while still exercising LUTs, routing, long lines, FFs, and read-only BRAM.
+// Every block's port is enabled by a constant-one LUT (LUT 2 of the block's
+// first row in the adjacent column) and its address fields are valid, so
+// the block reads every clock and content flips reach the output register.
 func vectorEligibleMemory(g device.Geometry, rng *rand.Rand) *bitstream.Memory {
 	total := g.TotalBits()
 	m := bitstream.NewMemory(g)
@@ -29,6 +32,18 @@ func vectorEligibleMemory(g device.Geometry, rng *rand.Rand) *bitstream.Memory {
 	for bc := 0; bc < g.BRAMCols; bc++ {
 		for blk := 0; blk < g.BRAMBlocksPerCol(); blk++ {
 			m.Set(g.BRAMPortBitAddr(bc, blk, device.BRAMPortWEBase), false)
+			r, c := g.BRAMRowBase(blk), g.BRAMAdjCol(bc)
+			for i := 0; i < device.LUTBits; i++ {
+				m.Set(g.LUTBitAddr(r, c, 2, i), true)
+			}
+			m.Set(g.OutMuxBitAddr(r, c, 2), false)
+			const en = 1 | 2<<4 // valid, row offset 0, output 2
+			for i := 0; i < device.BRAMPortInBits; i++ {
+				m.Set(g.BRAMPortBitAddr(bc, blk, device.BRAMPortENBase+i), en>>i&1 == 1)
+			}
+			for j := 0; j < device.BRAMAddrBits; j++ {
+				m.Set(g.BRAMPortBitAddr(bc, blk, device.BRAMPortAddrBase+j*device.BRAMPortInBits), true)
+			}
 		}
 	}
 	return m
@@ -63,6 +78,36 @@ func laneMatchesScalar(v *Vector, lane int, s *FPGA) string {
 	return ""
 }
 
+// forcedBRAMLanes picks BRAM content flips for fixed lanes of a batch:
+// lane 0, the last lane and a random lane, plus two more lanes patching
+// lane 0's block — one in lane 0's word, one in another word. Lane 0's
+// word is the one the block addresses at the canonical state, so the
+// patched read actually happens. Returns lane → address.
+func forcedBRAMLanes(f *FPGA, rng *rand.Rand, lanes int) map[int]device.BitAddr {
+	g := f.geom
+	bc, blk := rng.Intn(g.BRAMCols), rng.Intn(g.BRAMBlocksPerCol())
+	bi := f.bramIndex(bc, blk)
+	w0 := 0
+	for j, sel := range f.brams[bi].addr {
+		if f.bramPortValue(bi, sel) {
+			w0 |= 1 << uint(j)
+		}
+	}
+	i0 := rng.Intn(device.BRAMWidth)
+	other := func(x, n int) int { return (x + 1 + rng.Intn(n-1)) % n }
+	at := func(w, i int) device.BitAddr { return g.BRAMContentBitAddr(bc, blk, w, i) }
+	out := map[int]device.BitAddr{0: at(w0, i0)}
+	if lanes < 5 {
+		return out
+	}
+	out[lanes-1] = at(rng.Intn(device.BRAMWords), other(i0, device.BRAMWidth))
+	free := rng.Perm(lanes - 2) // lanes 1..lanes-2, shuffled
+	out[free[0]+1] = at(rng.Intn(device.BRAMWords), rng.Intn(device.BRAMWidth))
+	out[free[1]+1] = at(w0, other(i0, device.BRAMWidth))
+	out[free[2]+1] = at(other(w0, device.BRAMWords), rng.Intn(device.BRAMWidth))
+	return out
+}
+
 // checkVectorAgainstScalars drives a batch of `lanes` single-bit fault
 // universes through the vector machine alongside `lanes` independent scalar
 // sweep-kernel devices carrying the same injections and identical per-lane
@@ -73,7 +118,8 @@ func laneMatchesScalar(v *Vector, lane int, s *FPGA) string {
 // oscillating random designs freeze mid-transient: the drain's round bound
 // must cut each lane's trajectory where the scalar sweep bound does, and
 // the frozen pending worklist must resume it the way the memoryless sweep
-// does.
+// does. BRAM content flips sit on the lanes forcedBRAMLanes picks; the
+// rest are random lane-expressible deltas.
 func checkVectorAgainstScalars(t *testing.T, seed int64, lanes, maxSweeps int) {
 	t.Helper()
 	g := device.Tiny()
@@ -96,21 +142,31 @@ func checkVectorAgainstScalars(t *testing.T, seed int64, lanes, maxSweeps int) {
 
 	// Pick `lanes` distinct lane-expressible single-bit deltas.
 	total := g.TotalBits()
-	addrs := make([]device.BitAddr, 0, lanes)
-	deltas := make([]VectorDelta, 0, lanes)
+	addrs := make([]device.BitAddr, lanes)
+	deltas := make([]VectorDelta, lanes)
 	seen := make(map[device.BitAddr]bool)
-	for len(addrs) < lanes {
-		a := device.BitAddr(rng.Int63n(total))
-		if seen[a] {
-			continue
-		}
+	forced := forcedBRAMLanes(f, rng, lanes)
+	for _, a := range forced {
 		seen[a] = true
-		d, ok := f.PlanVectorDelta(a, g.Classify(a))
-		if !ok || d.Inert() {
-			continue
+	}
+	for i := range addrs {
+		a, isForced := forced[i]
+		for {
+			if !isForced {
+				if a = device.BitAddr(rng.Int63n(total)); seen[a] {
+					continue
+				}
+				seen[a] = true
+			}
+			d, ok := f.PlanVectorDelta(a, g.Classify(a))
+			if ok && !d.Inert() {
+				addrs[i], deltas[i] = a, d
+				break
+			}
+			if isForced {
+				t.Fatalf("BRAM content bit %d planned (%v, ok=%v), want a word overlay", a, d, ok)
+			}
 		}
-		addrs = append(addrs, a)
-		deltas = append(deltas, d)
 	}
 
 	comp := f.Compile()
@@ -278,6 +334,63 @@ func TestVectorScatterLane(t *testing.T) {
 			if what := laneMatchesScalar(v, i, sc[i]); what != "" {
 				t.Fatalf("step %d: scattered lane %d diverged from scalar (%s)", step, i, what)
 			}
+		}
+	}
+}
+
+// TestPlannerInertBRAMSlotsAreDecodeIdentical is the planner's soundness
+// property for BRAM bits: on a design whose BRAM column is live, every
+// content or port address PlanVectorDelta calls inert must leave the
+// scalar decode — port bindings and cached content of every block — equal
+// to golden when injected, and every content address it maps to a word
+// overlay must change exactly that word bit.
+func TestPlannerInertBRAMSlotsAreDecodeIdentical(t *testing.T) {
+	for _, g := range []device.Geometry{device.Tiny(), device.Small()} {
+		rng := rand.New(rand.NewSource(11))
+		f := New(g)
+		if err := f.FullConfigure(bitstream.Full(vectorEligibleMemory(g, rng))); err != nil {
+			t.Fatal(err)
+		}
+		golden := f.Clone()
+		fl := int64(g.FrameLength())
+		var inert, words int
+		for a := int64(g.CLBFrames()) * fl; a < int64(g.CLBFrames()+g.BRAMFrames())*fl; a++ {
+			addr := device.BitAddr(a)
+			info := g.Classify(addr)
+			d, ok := f.PlanVectorDelta(addr, info)
+			if !ok {
+				if info.Kind != device.KindBRAMPort {
+					t.Fatalf("%s: content bit %d demoted", g, a)
+				}
+				continue
+			}
+			f.InjectBit(addr)
+			for bi := range f.brams {
+				if f.brams[bi] != golden.brams[bi] {
+					t.Fatalf("%s: bit %d (inert=%v) changed block %d's port binding", g, a, d.Inert(), bi)
+				}
+				for w, v := range f.bramMem[bi] {
+					want := golden.bramMem[bi][w]
+					if !d.Inert() && int32(bi) == d.clb && w == int(d.sel) {
+						want ^= 1 << d.bit
+					}
+					if v != want {
+						t.Fatalf("%s: bit %d (inert=%v) left block %d word %d = %#x, want %#x", g, a, d.Inert(), bi, w, v, want)
+					}
+				}
+			}
+			f.InjectBit(addr)
+			if d.Inert() {
+				inert++
+			} else {
+				words++
+			}
+		}
+		if want := g.BRAMBlocks() * device.BRAMWords * device.BRAMWidth; words != want {
+			t.Errorf("%s: %d word overlays, want %d", g, words, want)
+		}
+		if inert == 0 {
+			t.Errorf("%s: no inert BRAM slot", g)
 		}
 	}
 }

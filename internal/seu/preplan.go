@@ -31,9 +31,9 @@ const (
 	// planVector: lane-eligible; delta holds the overlay.
 	planVector planAct = iota
 	// planCarry: scalar observe/repair, then lane-carried clean/persist
-	// windows (DemotedWindowable).
+	// windows (DemotedWindowable: LUT-mode flips).
 	planCarry
-	// planScalar: fully scalar (e.g. BRAM port bits).
+	// planScalar: fully scalar (mapped BRAM port fields).
 	planScalar
 )
 

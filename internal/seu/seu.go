@@ -83,7 +83,7 @@ const (
 	// the bit-parallel lane kernel — 64 fault universes per pass
 	// (internal/fpga/vector.go), settling through the event-driven worklist
 	// drain (fpga/vecevent.go), with retired lanes refilled mid-batch.
-	// Incompatible bits (SRL16 truth bits, BRAM bits, LUT-mode flips,
+	// Incompatible bits (SRL16 truth bits, mapped BRAM port fields, LUT-mode flips,
 	// history-coupled designs wholesale) are demoted to the scalar
 	// activity-driven kernel. Lane trajectories are exact images of the
 	// scalar sweep kernel, so reports stay byte-identical.
@@ -326,25 +326,30 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 	}
 	cm := bd.DUT.ConfigMemory()
 	fs.markClean(cm, frame)
-	// The spread is confined to the injected bit's column (an SRL shifts
-	// only its own truth-table frames); residual divergence anywhere else
-	// is caught by the clean-run check and the full-reconfiguration
-	// fallback of the caller. Frames whose generation counter hasn't moved
-	// since they were last verified golden are provably untouched and skip
-	// even the compare.
-	if frame < g.CLBFrames() {
-		colBase := (frame / device.FramesPerCLBCol) * device.FramesPerCLBCol
-		for fidx := colBase; fidx < colBase+device.FramesPerCLBCol; fidx++ {
-			if fs.isClean(cm, fidx) {
-				continue
-			}
-			if !cm.FrameEqual(golden, fidx) {
-				if err := bd.Port.WriteFrame(golden.Frame(fidx)); err != nil {
-					return ob, fmt.Errorf("seu: scrubbing frame %d: %w", fidx, err)
-				}
-			}
-			fs.markClean(cm, fidx)
+	// The spread is confined to the injected bit's column: an SRL shifts
+	// only its own truth-table frames, and a corrupted BRAM port (a flipped
+	// write enable, say) writes only its own block's content frames.
+	// Residual divergence anywhere else is caught by the clean-run check
+	// and the full-reconfiguration fallback of the caller. Frames whose
+	// generation counter hasn't moved since they were last verified golden
+	// are provably untouched and skip even the compare.
+	colBase, colFrames := 0, 0 // extra frames configure nothing
+	switch bf := frame - g.CLBFrames(); {
+	case bf < 0:
+		colBase, colFrames = frame/device.FramesPerCLBCol*device.FramesPerCLBCol, device.FramesPerCLBCol
+	case bf < g.BRAMFrames():
+		colBase, colFrames = g.CLBFrames()+bf/device.BRAMFramesPerCol*device.BRAMFramesPerCol, device.BRAMFramesPerCol
+	}
+	for fidx := colBase; fidx < colBase+colFrames; fidx++ {
+		if fs.isClean(cm, fidx) {
+			continue
 		}
+		if !cm.FrameEqual(golden, fidx) {
+			if err := bd.Port.WriteFrame(golden.Frame(fidx)); err != nil {
+				return ob, fmt.Errorf("seu: scrubbing frame %d: %w", fidx, err)
+			}
+		}
+		fs.markClean(cm, fidx)
 	}
 	return ob, nil
 }

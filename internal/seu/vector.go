@@ -24,13 +24,15 @@ import (
 // the campaign pre-plan (preplan.go); the runner just consumes planEntry
 // records.
 //
-// Bits the planner demotes fall in two classes. Windowable demotions (SRL
-// truth bits, BRAM content — DemotedWindowable) run their corrupt/observe/
-// repair prefix on the scalar board, then ride a lane for the clean-run and
-// persistence windows: the configuration is provably golden after repair
-// plus column scrub, so the lane only needs to carry the behavioural state
-// (ScatterLane) and fast-forward its stimulus stream past the scalar prefix
-// (SkipLane). Everything else (BRAM port bits) stays fully scalar.
+// BRAM content flips are overlays like any other: a lane's read XORs the
+// flipped bit into the word it addresses. Bits the planner demotes fall in
+// two classes. Windowable demotions (LUT-mode flips, which make a live
+// SRL16 — DemotedWindowable) run their corrupt/observe/repair prefix on the
+// scalar board, then ride a lane for the clean-run and persistence windows:
+// the configuration is provably golden after repair plus column scrub, so
+// the lane only needs to carry the behavioural state (ScatterLane) and
+// fast-forward its stimulus stream past the scalar prefix (SkipLane).
+// Everything else (mapped BRAM port fields) stays fully scalar.
 //
 // Lanes are mutually independent — every lane word operation is bitwise,
 // and overlays are per-lane — so batch composition (which varies with chunk
@@ -159,15 +161,15 @@ func (vr *vectorRunner) enqueueVector(e *planEntry) {
 }
 
 // enqueueCarry runs the scalar corrupt/observe/repair prefix of a
-// windowable demoted injection on bd, then either retires it inline (it
-// failed and no persistence window follows) or parks its post-repair state
-// in a lane slot to ride the next batch's clean-run/persistence windows.
+// windowable demoted injection (a LUT-mode flip) on bd, then either retires
+// it inline (it failed and no persistence window follows) or parks its
+// post-repair state in a lane slot to ride the next batch's
+// clean-run/persistence windows.
 //
 // Skipping the scalar path's ResetBoth/re-sync fallback is exact for
-// windowable kinds: after the injected-frame write-back and column scrub
-// their configuration is provably golden (an SRL shifts only its own
-// truth-table frames, in-column; BRAM content has no other writers in
-// non-history-coupled designs), so a reset pair always re-matches and the
+// LUT-mode flips: after the injected-frame write-back and column scrub the
+// configuration is provably golden (the transient SRL shifts only its own
+// truth-table frames, in-column), so a reset pair always re-matches and the
 // full-reconfiguration fallback can never fire — and the next injection's
 // ResetCampaignState clears the user state anyway.
 func (vr *vectorRunner) enqueueCarry(bd *board.SLAAC1V, golden *bitstream.Memory, e *planEntry, opts Options, cr *ChunkResult, fs *frameScrub) error {
