@@ -14,12 +14,14 @@
 # kept in bench-pair/.
 #
 # dense-small times the vector production path at two workers; demoted-small
-# the scalar event fallback and the carry lanes. fig8-xqvr1000 is left out
-# to keep a check to a few minutes.
+# the scalar event fallback and the carry lanes; mission-paper the mission
+# simulator's disjoint stack (scrub policies, ECC flash fetches, telemetry),
+# a few seconds a run. fig8-xqvr1000 is left out to keep a check to a few
+# minutes.
 set -euo pipefail
 
 pairs=5
-workloads=(dense-small demoted-small)
+workloads=(dense-small demoted-small mission-paper)
 
 if [ $# -ne 1 ]; then
 	echo "usage: bash .github/bench-pair.sh <base-commit>" >&2

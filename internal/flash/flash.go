@@ -38,11 +38,9 @@ type Device struct {
 // New returns a zeroed device of the given byte capacity.
 func New(capacityBytes int) *Device {
 	n := (capacityBytes + 7) / 8
-	d := &Device{words: make([]uint64, n), ecc: make([]uint8, n)}
-	for i := range d.words {
-		d.ecc[i] = secded(0)
-	}
-	return d
+	// The code of a zero word is zero, so the zeroed ecc slice is already
+	// the encoding of the zeroed words.
+	return &Device{words: make([]uint64, n), ecc: make([]uint8, n)}
 }
 
 // Capacity returns the device capacity in bytes.
@@ -69,6 +67,9 @@ func (d *Device) Stats() Stats { return d.stats }
 var (
 	dataPos [64]int // codeword position of data bit i
 	posData [73]int // codeword position -> data bit index, or -1
+	// parityMask[p] holds the data bits whose codeword position has bit p
+	// set: the bits parity bit p covers.
+	parityMask [7]uint64
 )
 
 func init() {
@@ -82,6 +83,11 @@ func init() {
 		}
 		dataPos[i] = pos
 		posData[pos] = i
+		for p := range parityMask {
+			if pos&(1<<p) != 0 {
+				parityMask[p] |= 1 << uint(i)
+			}
+		}
 		i++
 	}
 }
@@ -89,14 +95,8 @@ func init() {
 // secded computes the 8-bit SECDED code for a 64-bit word.
 func secded(w uint64) uint8 {
 	var code uint8
-	for p := 0; p < 7; p++ {
-		var parity uint8
-		for i := 0; i < 64; i++ {
-			if w&(1<<uint(i)) != 0 && dataPos[i]&(1<<uint(p)) != 0 {
-				parity ^= 1
-			}
-		}
-		code |= parity << uint(p)
+	for p, m := range parityMask {
+		code |= uint8(bits.OnesCount64(w&m)&1) << uint(p)
 	}
 	overall := uint8(bits.OnesCount64(w)&1) ^ uint8(bits.OnesCount8(code&0x7F)&1)
 	return code | overall<<7
@@ -109,9 +109,9 @@ func (d *Device) writeWord(i int, w uint64) {
 }
 
 // readWord fetches a word, correcting a single bit error and detecting
-// (but not correcting) double errors.
+// (but not correcting) double errors. It leaves Stats.Reads, a byte count,
+// to its caller.
 func (d *Device) readWord(i int) (uint64, error) {
-	d.stats.Reads++
 	w := d.words[i]
 	stored := d.ecc[i]
 	fresh := secded(w)
@@ -179,20 +179,27 @@ func (d *Device) writeByte(pos int64, b byte) {
 	d.writeWord(i, w)
 }
 
-// Read fetches n bytes from a byte offset through the ECC path.
+// Read fetches n bytes from a byte offset through the ECC path, decoding
+// each word in range once. Stats.Reads counts bytes; a read that hits a
+// double error counts the bytes before the bad word plus one.
 func (d *Device) Read(offset int64, n int) ([]byte, error) {
 	if offset < 0 || offset+int64(n) > int64(d.Capacity()) {
 		return nil, fmt.Errorf("flash: read [%d,%d) out of capacity %d", offset, offset+int64(n), d.Capacity())
 	}
 	out := make([]byte, n)
-	for k := 0; k < n; k++ {
+	for k := 0; k < n; {
 		pos := offset + int64(k)
 		w, err := d.readWord(int(pos >> 3))
 		if err != nil {
+			d.stats.Reads += int64(k) + 1
 			return nil, err
 		}
-		out[k] = byte(w >> (uint(pos&7) * 8))
+		for sh := uint(pos&7) * 8; sh < 64 && k < n; sh += 8 {
+			out[k] = byte(w >> sh)
+			k++
+		}
 	}
+	d.stats.Reads += int64(n)
 	return out, nil
 }
 

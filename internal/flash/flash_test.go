@@ -2,6 +2,8 @@ package flash
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -90,6 +92,57 @@ func TestECCDetectsDoubleBitUpsets(t *testing.T) {
 	}
 }
 
+// secdedRef is the bit-at-a-time Hamming(72,64) encoder, the reference
+// secded's parity masks must agree with.
+func secdedRef(w uint64) uint8 {
+	var code uint8
+	for p := 0; p < 7; p++ {
+		var parity uint8
+		for i := 0; i < 64; i++ {
+			if w&(1<<uint(i)) != 0 && dataPos[i]&(1<<uint(p)) != 0 {
+				parity ^= 1
+			}
+		}
+		code |= parity << uint(p)
+	}
+	overall := uint8(bits.OnesCount64(w)&1) ^ uint8(bits.OnesCount8(code&0x7F)&1)
+	return code | overall<<7
+}
+
+func TestSECDEDMatchesReference(t *testing.T) {
+	if secded(0) != 0 {
+		t.Fatalf("secded(0) = %#x; New relies on the code of a zero word being 0", secded(0))
+	}
+	check := func(w uint64) {
+		t.Helper()
+		if got, want := secded(w), secdedRef(w); got != want {
+			t.Fatalf("secded(%#x) = %#x, reference %#x", w, got, want)
+		}
+	}
+	// Every word of weight 0, 1 and 2.
+	check(0)
+	for i := 0; i < 64; i++ {
+		check(1 << uint(i))
+		for j := i + 1; j < 64; j++ {
+			check(1<<uint(i) | 1<<uint(j))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 1<<20; k++ {
+		check(rng.Uint64())
+	}
+}
+
+// flipCodeword flips codeword position pos of word i: 0..63 are the data
+// bits, 64..70 the seven stored parity bits and 71 the overall-parity bit.
+func flipCodeword(d *Device, i, pos int) {
+	if pos < 64 {
+		d.words[i] ^= 1 << uint(pos)
+		return
+	}
+	d.ecc[i] ^= 1 << uint(pos-64)
+}
+
 func TestSECDEDProperty(t *testing.T) {
 	// Any single-bit flip of any word is corrected exactly.
 	f := func(w uint64, pos uint8) bool {
@@ -101,6 +154,110 @@ func TestSECDEDProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+
+	rng := rand.New(rand.NewSource(2))
+	words := []uint64{0, ^uint64(0), rng.Uint64(), rng.Uint64()}
+	var want [8]byte
+	for _, w := range words {
+		binary.LittleEndian.PutUint64(want[:], w)
+		// A flip at each of the 72 codeword positions is corrected, counted
+		// once and scrubbed back.
+		for pos := 0; pos < 72; pos++ {
+			d := New(64)
+			d.writeWord(0, w)
+			flipCodeword(d, 0, pos)
+			for pass := 0; pass < 2; pass++ {
+				got, err := d.Read(0, 8)
+				if err != nil || !bytes.Equal(got, want[:]) {
+					t.Fatalf("word %#x, flip at %d, pass %d: Read = %x, %v", w, pos, pass, got, err)
+				}
+			}
+			if st := d.Stats(); st.CorrectedSingles != 1 || st.DetectedDoubles != 0 || st.Reads != 16 {
+				t.Fatalf("word %#x, flip at %d: stats %+v, want 1 correction over 16 byte reads", w, pos, st)
+			}
+		}
+		// Every pair of flips within the word is detected as a double.
+		for a := 0; a < 72; a++ {
+			for b := a + 1; b < 72; b++ {
+				d := New(64)
+				d.writeWord(0, w)
+				flipCodeword(d, 0, a)
+				flipCodeword(d, 0, b)
+				if _, err := d.Read(0, 8); err == nil {
+					t.Fatalf("word %#x, flips at %d and %d: double error not detected", w, a, b)
+				}
+				if st := d.Stats(); st.DetectedDoubles != 1 || st.CorrectedSingles != 0 {
+					t.Fatalf("word %#x, flips at %d and %d: stats %+v, want one detected double", w, a, b, st)
+				}
+			}
+		}
+	}
+}
+
+// readRef is the byte-at-a-time read Read must reproduce: one decode and
+// one Stats.Reads per byte, stopping at the first byte of a bad word.
+func readRef(d *Device, offset int64, n int) ([]byte, error) {
+	out := make([]byte, n)
+	for k := 0; k < n; k++ {
+		pos := offset + int64(k)
+		d.stats.Reads++
+		w, err := d.readWord(int(pos >> 3))
+		if err != nil {
+			return nil, err
+		}
+		out[k] = byte(w >> (uint(pos&7) * 8))
+	}
+	return out, nil
+}
+
+func TestReadMatchesByteLoop(t *testing.T) {
+	base := New(256)
+	data := make([]byte, 256)
+	rand.New(rand.NewSource(3)).Read(data)
+	if err := base.Write(0, data); err != nil {
+		t.Fatal(err)
+	}
+	// Word 0 holds a single data-bit upset, word 2 a double, word 4 a
+	// single parity-bit upset, word 5 an overall-bit upset; words 1 and 3
+	// are clean.
+	base.UpsetBit(0*64 + 13)
+	base.UpsetBit(2*64 + 5)
+	base.UpsetBit(2*64 + 40)
+	flipCodeword(base, 4, 66)
+	flipCodeword(base, 5, 71)
+
+	compare := func(off int64, n int) (Stats, error) {
+		t.Helper()
+		got, ref := base.Clone(), base.Clone()
+		gotB, gotErr := got.Read(off, n)
+		refB, refErr := readRef(ref, off, n)
+		if (gotErr == nil) != (refErr == nil) || !bytes.Equal(gotB, refB) {
+			t.Fatalf("Read(%d, %d) = %x, %v; byte loop %x, %v", off, n, gotB, gotErr, refB, refErr)
+		}
+		if got.Stats() != ref.Stats() {
+			t.Fatalf("Read(%d, %d) stats %+v; byte loop %+v", off, n, got.Stats(), ref.Stats())
+		}
+		return got.Stats(), gotErr
+	}
+	// Unaligned offsets and lengths of 1-17 bytes across clean, corrected
+	// and double-error words.
+	for off := int64(0); off < 56; off++ {
+		for n := 1; n <= 17; n++ {
+			compare(off, n)
+		}
+	}
+	// A corrected single in the head word.
+	if st, err := compare(3, 10); err != nil || st.CorrectedSingles != 1 || st.Reads != 10 {
+		t.Fatalf("Read(3, 10): stats %+v, %v; want one correction over 10 byte reads", st, err)
+	}
+	// A double in the third word: Reads stops at that word's first byte.
+	if st, err := compare(3, 20); err == nil || st.DetectedDoubles != 1 || st.Reads != 13+1 {
+		t.Fatalf("Read(3, 20): stats %+v, %v; want a detected double after 14 byte reads", st, err)
+	}
+	// Whole-word ranges past the double.
+	for off := int64(24); off < 48; off += 8 {
+		compare(off, 24)
 	}
 }
 

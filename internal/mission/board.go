@@ -240,9 +240,9 @@ func (s *boardSim) configStrike(st *Strike) {
 	latency := end - st.At
 	s.res.latHist[latencyBucket(latency)]++
 	s.res.repairs += framesHit
-	s.fetchGolden(st.Frame, end)
+	s.fetchGolden(s.m.FrameOffset(st.Frame), s.m.FrameBytes, st.Frame, end)
 	if st.Frame2 >= 0 {
-		s.fetchGolden(st.Frame2, end)
+		s.fetchGolden(s.m.FrameOffset(st.Frame2), s.m.FrameBytes, st.Frame2, end)
 	}
 	if p.strat != scrub.StrategyBlind {
 		// Readback-based policies actually observe the mismatch; blind
@@ -305,7 +305,7 @@ func (s *boardSim) controlStrike(st *Strike) {
 	s.res.latHist[latencyBucket(end-st.At)]++
 	// Full reconfiguration reloads the entire golden image through the
 	// ECC flash path and restores the device's half-latches.
-	s.fetchFullGolden(end)
+	s.fetchGolden(0, len(s.m.Golden), -1, end)
 	s.res.hlRestored += s.hlDamage[st.Device]
 	s.hlDamage[st.Device] = 0
 	s.record(groundlink.TelemetryRecord{
@@ -329,35 +329,25 @@ func (s *boardSim) halfLatchStrike(st *Strike) {
 	s.hlDamage[st.Device]++
 }
 
-// fetchGolden models the repair-frame fetch through the board's ECC flash:
-// a single-bit flash upset inside the frame is corrected transparently, a
-// double-bit error forces a fallback to a redundant stored copy (the
-// flight flash holds "more than twenty" bitstreams) that also restores the
-// primary extent.
-func (s *boardSim) fetchGolden(f int32, at time.Duration) {
-	off := s.m.FrameOffset(f)
+// fetchGolden models a golden fetch of n bytes at off through the board's
+// ECC flash: repair frame f, or the full image (f = -1) for a full
+// reconfiguration. A single-bit flash upset inside the extent is corrected
+// transparently, a double-bit error forces a fallback to a redundant stored
+// copy (the flight flash holds "more than twenty" bitstreams) that also
+// restores the primary extent. Either is reported as a flash ECC telemetry
+// record for frame f.
+func (s *boardSim) fetchGolden(off int64, n int, f int32, at time.Duration) {
 	before := s.fl.Device().Stats().CorrectedSingles
-	_, err := s.fl.ReadAt(goldenBlob, off, s.m.FrameBytes)
+	_, err := s.fl.ReadAt(goldenBlob, off, n)
 	if err != nil {
 		s.res.flashFallbacks++
-		_ = s.fl.WriteAt(goldenBlob, off, s.m.Golden[off:off+int64(s.m.FrameBytes)])
+		// The extent lies inside the golden blob, so the rewrite cannot fail.
+		_ = s.fl.WriteAt(goldenBlob, off, s.m.Golden[off:off+int64(n)])
 	}
 	if err != nil || s.fl.Device().Stats().CorrectedSingles > before {
 		s.record(groundlink.TelemetryRecord{
 			At: at, Kind: groundlink.TelFlashECC, Frame: f,
 		})
-	}
-}
-
-func (s *boardSim) fetchFullGolden(at time.Duration) {
-	before := s.fl.Device().Stats().CorrectedSingles
-	_, err := s.fl.ReadAt(goldenBlob, 0, len(s.m.Golden))
-	if err != nil {
-		s.res.flashFallbacks++
-		_ = s.fl.WriteAt(goldenBlob, 0, s.m.Golden)
-	}
-	if err != nil || s.fl.Device().Stats().CorrectedSingles > before {
-		s.record(groundlink.TelemetryRecord{At: at, Kind: groundlink.TelFlashECC, Frame: -1})
 	}
 }
 
@@ -387,7 +377,6 @@ func (s *boardSim) downlink() {
 
 	link := groundlink.Flight()
 	idx := 0
-	var seq uint32
 	for passStart := s.cfg.PassEvery; passStart <= s.cfg.Duration+s.cfg.PassEvery-1; passStart += s.cfg.PassEvery {
 		s.res.passes++
 		budget := s.cfg.PassContact
@@ -408,13 +397,11 @@ func (s *boardSim) downlink() {
 			s.res.downlinkNs += int64(cost)
 			s.res.telemetryBytes += int64(groundlink.TelemetryFrameSize(n))
 			s.res.telemetryFrames++
-			seq++
 			idx += n
 		}
 		if passStart >= s.cfg.Duration {
 			break
 		}
 	}
-	_ = seq
 	s.res.deferred = int64(len(s.events) - idx)
 }
