@@ -14,14 +14,15 @@
 # kept in bench-pair/.
 #
 # dense-small times the vector production path at two workers; demoted-small
-# the scalar event fallback and the carry lanes; mission-paper the mission
+# the scalar event fallback and the carry lanes; fig8-xqvr1000 the paper's
+# full-device sweeps, where set-up, pre-plan and RunContext's cost-balanced
+# chunks decide the time, about 10 s a run; mission-paper the mission
 # simulator's disjoint stack (scrub policies, ECC flash fetches, telemetry),
-# a few seconds a run. fig8-xqvr1000 is left out to keep a check to a few
-# minutes.
+# a few seconds a run.
 set -euo pipefail
 
 pairs=5
-workloads=(dense-small demoted-small mission-paper)
+workloads=(dense-small demoted-small fig8-xqvr1000 mission-paper)
 
 if [ $# -ne 1 ]; then
 	echo "usage: bash .github/bench-pair.sh <base-commit>" >&2

@@ -15,11 +15,13 @@ import (
 )
 
 // Resumable chunked execution. Every in-process and distributed campaign
-// runs as an explicit chunk plan: PlanChunks cuts the sweep into address
-// ranges, a ChunkRunner turns each range into a serializable ChunkResult,
-// and AssembleReport folds the results. The plan is a pure function of
-// (geometry, options, chunk cap) and every chunk's result a pure function of
-// (plan entry, options), so a sweep interrupted at any chunk boundary and
+// runs as an explicit chunk plan: PlanChunks (the service) or cutChunks
+// (RunContext) cuts the sweep into address ranges, a ChunkRunner turns each
+// range into a serializable ChunkResult, and AssembleReport folds the
+// results. PlanChunks is a pure function of (geometry, options, chunk cap),
+// cutChunks of (design, options, chunk cap), and every chunk's result a
+// pure function of (plan entry, options), so a sweep interrupted at any
+// chunk boundary and
 // resumed later — even by a different process at a different worker count —
 // assembles into a Report byte-identical to an uninterrupted Run. The
 // campaign service checkpoints each ChunkResult as it lands.
@@ -41,7 +43,9 @@ func PlanChunks(g device.Geometry, opts Options, maxChunks int) []ChunkSpec {
 	return planChunks(limit, maxChunks)
 }
 
-// planChunks cuts [0, limit) into at most maxChunks equal spans.
+// planChunks cuts [0, limit) into at most maxChunks equal spans: the
+// service's cut, whose coordinator plans without a design, and RunContext's
+// for campaigns without a pre-plan.
 func planChunks(limit int64, maxChunks int) []ChunkSpec {
 	if maxChunks < 1 {
 		maxChunks = 1
@@ -68,6 +72,38 @@ func planChunks(limit int64, maxChunks int) []ChunkSpec {
 		plan = []ChunkSpec{{Index: 0}}
 	}
 	return plan
+}
+
+// cutChunks cuts [0, limit) into at most maxChunks contiguous chunks of
+// about equal expected cost. Without a pre-plan (the sweep oracle,
+// history-coupled and unprogrammed designs) any selected bit may need the
+// board, and the cut is planChunks' equal spans. With one, a chunk's cost
+// is its entries' actCost — the bits between entries cost only block
+// tallies — so interior edges fall on entry addresses: the k-th edge sits
+// before the first entry whose predecessors cost at least k/maxChunks of
+// plan.work. No chunk then costs more than plan.work/maxChunks plus one
+// entry, and none is empty unless the campaign selects nothing. Where the
+// edges fall never changes a result: every injection is independent of its
+// neighbours and AssembleReport folds outcomes in address order.
+func cutChunks(limit int64, maxChunks int, plan *prePlan) []ChunkSpec {
+	if plan == nil {
+		return planChunks(limit, maxChunks)
+	}
+	n := int64(max(maxChunks, 1))
+	var specs []ChunkSpec
+	var lo, before int64 // before: the summed cost of the entries below e
+	k := int64(1)        // the next edge to place
+	for _, e := range plan.entries {
+		if k < n && before*n >= k*plan.work {
+			specs = append(specs, ChunkSpec{Index: len(specs), Lo: lo, Hi: int64(e.addr)})
+			lo = int64(e.addr)
+			for k < n && before*n >= k*plan.work {
+				k++ // one expensive entry can pass several edges
+			}
+		}
+		before += actCost[e.act]
+	}
+	return append(specs, ChunkSpec{Index: len(specs), Lo: lo, Hi: limit})
 }
 
 // ChunkResult is the outcome of one chunk: the accumulator the injection

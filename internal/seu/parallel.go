@@ -11,21 +11,24 @@ import (
 )
 
 // In-process chunk execution. A campaign's bit-address space is cut into
-// contiguous chunks (PlanChunks); RunChunks hands them out from a shared
-// cursor to a base runner plus cloned replicas of its board, each running
-// the injection loop into the chunk's own ChunkResult. Because every
+// contiguous chunks (PlanChunks, cutChunks); RunChunks hands them out from
+// a shared cursor to a base runner plus cloned replicas of its board, each
+// running the injection loop into the chunk's own ChunkResult. Because every
 // injection starts from canonical board state (board.ResetCampaignState)
 // and samples by per-bit hash, which replica runs which chunk cannot
 // influence any outcome — AssembleReport's fold in chunk order reassembles
 // exactly the sequential report.
 
-// chunksPerWorker over-decomposes the address space so a worker stuck in a
-// failure-dense chunk doesn't serialize the tail of the campaign.
+// chunksPerWorker over-decomposes RunContext's sweep. Its chunks carry
+// equal shares of the expected cost, but the cost is an estimate (a
+// failure-dense chunk runs long), so several chunks per worker keep one
+// slow chunk from serializing the tail of the campaign.
 const chunksPerWorker = 4
 
-// minInjectionsPerWorker is the smallest expected per-worker injection
-// count worth a board clone; smaller campaigns run with fewer workers
-// than requested.
+// minInjectionsPerWorker is the smallest per-worker work worth a board
+// clone, counted in selected injections or, with a pre-plan, in lane
+// injections of board work (actCost); smaller campaigns run with fewer
+// workers than requested.
 const minInjectionsPerWorker = 64
 
 // RunChunks runs specs on base plus up to workers-1 clones of it, calling

@@ -22,7 +22,10 @@ import (
 // window's injection tallies from whole blocks plus a bit-by-bit rescan of
 // the two partial edge blocks. NewChunkRunner builds the plan (and the
 // compiled struct-of-arrays design it carries) once per campaign; the
-// campaign's clones share it.
+// campaign's clones share it. The entries also price the sweep: RunContext
+// cuts its chunks so each carries an equal share of the entries' summed
+// actCost (cutChunks), since on a large device nearly all the board work
+// sits in the few address ranges the design occupies.
 
 // planAct is a board-work bit's precomputed disposition.
 type planAct uint8
@@ -36,6 +39,16 @@ const (
 	// planScalar: fully scalar (mapped BRAM port fields).
 	planScalar
 )
+
+// actCost is an entry's expected board time by disposition, in lane
+// injections. Measured on a 2-vCPU VM from single-worker per-chunk times
+// (chunks of 100-1000 consecutive entries, two passes, fitted by least
+// squares, time = Σ count × cost): a lane injection took 51 µs (LFSR 72,
+// xqvr1000), 55 µs (VMULT 72, xqvr1000) and 65 µs (the mix stress design,
+// small, sample 0.15); a carry 1.6, 1.1 and 2.1 ms; a fully scalar
+// injection 1.5 ms (mix). Only the ratios matter, and only roughly: they
+// place chunk edges, never results.
+var actCost = [...]int64{planVector: 1, planCarry: 25, planScalar: 20}
 
 // planEntry is one selected bit's precomputed board work.
 type planEntry struct {
@@ -69,6 +82,8 @@ type prePlan struct {
 	// entries holds the bits needing board work (planVector, planCarry,
 	// planScalar), strictly ascending by address.
 	entries []planEntry
+	// work is the entries' summed actCost.
+	work int64
 	// blocks[j] tallies [j*planBlockBits, min((j+1)*planBlockBits, limit)).
 	blocks []planBlock
 	limit  int64
@@ -207,6 +222,7 @@ func buildPrePlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage, com
 			e.act = planScalar
 		}
 		p.entries = append(p.entries, e)
+		p.work += actCost[e.act]
 	}
 	plannerCalls.Add(calls)
 	return p

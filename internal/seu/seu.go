@@ -228,11 +228,14 @@ func Run(bd *board.SLAAC1V, opts Options) (*Report, error) {
 
 // RunContext is Run with cancellation: when ctx is cancelled the campaign
 // stops between injections and returns ctx's error. It is the chunk API run
-// to completion in process: NewChunkRunner on bd, PlanChunks, RunChunks,
-// AssembleReport. At one worker bd runs the injections and is left in
-// lock-step on its golden configuration; at more, Workers replicas run them
-// and bd is left untouched. A cancelled campaign returns no partial report;
-// resumable execution is the campaign service's use of the same chunk API.
+// to completion in process: NewChunkRunner on bd, cutChunks, RunChunks,
+// AssembleReport. With a pre-plan the chunks carry equal shares of its
+// board work, so a sweep whose design fills one corner of a large device
+// still keeps every worker busy; without one they are equal address spans.
+// At one worker bd runs the injections and is left in lock-step on its
+// golden configuration; at more, Workers replicas run them and bd is left
+// untouched. A cancelled campaign returns no partial report; resumable
+// execution is the campaign service's use of the same chunk API.
 func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, error) {
 	start := time.Now()
 	base, err := NewChunkRunner(bd, opts)
@@ -243,7 +246,11 @@ func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if maxw := int(base.expected/minInjectionsPerWorker) + 1; workers > maxw {
+	work := base.expected
+	if base.plan != nil {
+		work = base.plan.work // padding and retired bits need no board
+	}
+	if maxw := int(work/minInjectionsPerWorker) + 1; workers > maxw {
 		workers = maxw // not enough work to amortize board clones
 	}
 	chunks := 1
@@ -255,7 +262,7 @@ func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, 
 		// stays exactly as it was.
 		base = base.Clone(opts.Seed)
 	}
-	specs := planChunks(base.limit, chunks)
+	specs := cutChunks(base.limit, chunks, base.plan)
 	results := make([]*ChunkResult, len(specs))
 	err = RunChunks(ctx, base, specs, workers, nil, nil, func(cs ChunkSpec, cr *ChunkResult) error {
 		results[cs.Index] = cr
