@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/device"
 )
 
 func main() {
@@ -28,11 +27,9 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
-	g := map[string]device.Geometry{
-		"tiny": device.Tiny(), "small": device.Small(), "xqvr1000": device.XQVR1000(),
-	}[*geom]
-	if g.Rows == 0 {
-		fmt.Fprintf(os.Stderr, "unknown geometry %q\n", *geom)
+	g, err := core.ParseGeometry(*geom)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "beamval:", err)
 		os.Exit(2)
 	}
 	cfg := core.Config{Geom: g, Seed: *seed, Sample: *sample}

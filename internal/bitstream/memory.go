@@ -7,6 +7,7 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -18,10 +19,12 @@ import (
 type Memory struct {
 	geom  device.Geometry
 	words []uint64
-	// gen holds one generation counter per frame, bumped by every mutation
-	// that touches the frame (bit writes, frame writes, whole-memory
-	// copies). Scrub fast paths compare generations to prove a frame
-	// untouched since its last golden verification without re-reading it.
+	// gen holds one generation counter per frame. Every mutation that
+	// touches the frame (a bit write, a frame write, a whole-memory copy)
+	// moves it up by at least one; a WriteFrame moves it once, not once per
+	// bit. Users compare generations only for equality: scrub fast paths
+	// prove a frame untouched since its last golden verification without
+	// re-reading it.
 	gen      []uint64
 	frameLen int64
 }
@@ -43,8 +46,9 @@ func (m *Memory) touch(a device.BitAddr) {
 }
 
 // FrameGen returns the generation counter of frame idx. The counter
-// increases on every mutation touching the frame; equal generations at two
-// points in time prove the frame's bits did not change in between.
+// increases on every mutation touching the frame, by an amount callers must
+// not rely on; equal generations at two points in time prove the frame's
+// bits did not change in between.
 func (m *Memory) FrameGen(idx int) uint64 { return m.gen[idx] }
 
 // Geometry returns the geometry this memory was sized for.
@@ -166,24 +170,31 @@ func (m *Memory) PopCount() int {
 }
 
 // Frame extracts frame idx as a byte slice of FrameBytes length. Bits are
-// packed LSB-first within each byte, matching Memory's word order.
+// packed LSB-first within each byte, matching Memory's word order; the
+// padding bits past FrameLength read zero.
 func (m *Memory) Frame(idx int) Frame {
 	g := m.geom
 	if idx < 0 || idx >= g.TotalFrames() {
 		panic(fmt.Sprintf("bitstream: frame %d out of range [0,%d)", idx, g.TotalFrames()))
 	}
-	fl := g.FrameLength()
 	data := make([]byte, g.FrameBytes())
-	base := device.BitAddr(int64(idx) * int64(fl))
-	for i := 0; i < fl; i++ {
-		if m.Get(base + device.BitAddr(i)) {
-			data[i>>3] |= 1 << (uint(i) & 7)
+	base := int64(idx) * m.frameLen
+	for k := int64(0); k < m.frameLen; k += 64 {
+		v := m.bits64(base+k, m.frameLen-k)
+		if len(data)-int(k>>3) >= 8 {
+			binary.LittleEndian.PutUint64(data[k>>3:], v)
+			continue
+		}
+		for i := k >> 3; i < int64(len(data)); i++ {
+			data[i] = byte(v)
+			v >>= 8
 		}
 	}
 	return Frame{Index: idx, Data: data}
 }
 
-// WriteFrame overwrites frame f.Index with f.Data.
+// WriteFrame overwrites frame f.Index with f.Data, ignoring the payload's
+// padding bits past FrameLength. The frame's generation moves once.
 func (m *Memory) WriteFrame(f Frame) error {
 	g := m.geom
 	if f.Index < 0 || f.Index >= g.TotalFrames() {
@@ -192,12 +203,49 @@ func (m *Memory) WriteFrame(f Frame) error {
 	if len(f.Data) != g.FrameBytes() {
 		return fmt.Errorf("bitstream: frame %d payload %d bytes, want %d", f.Index, len(f.Data), g.FrameBytes())
 	}
-	fl := g.FrameLength()
-	base := device.BitAddr(int64(f.Index) * int64(fl))
-	for i := 0; i < fl; i++ {
-		m.Set(base+device.BitAddr(i), f.Data[i>>3]&(1<<(uint(i)&7)) != 0)
+	base := int64(f.Index) * m.frameLen
+	for k := int64(0); k < m.frameLen; k += 64 {
+		var v uint64
+		if rest := f.Data[k>>3:]; len(rest) >= 8 {
+			v = binary.LittleEndian.Uint64(rest)
+		} else {
+			for i := len(rest) - 1; i >= 0; i-- {
+				v = v<<8 | uint64(rest[i])
+			}
+		}
+		m.setBits64(base+k, m.frameLen-k, v)
 	}
+	m.gen[f.Index]++
 	return nil
+}
+
+// bits64 returns min(n, 64) bits starting at bit address a, LSB first,
+// with the bits above them zero. a need not be word-aligned.
+func (m *Memory) bits64(a, n int64) uint64 {
+	w, sh := a>>6, uint(a&63)
+	v := m.words[w] >> sh
+	if sh != 0 && int64(64-sh) < n {
+		v |= m.words[w+1] << (64 - sh)
+	}
+	if n < 64 {
+		v &= 1<<uint(n) - 1
+	}
+	return v
+}
+
+// setBits64 writes the low min(n, 64) bits of v starting at bit address a
+// without touching generations; the bits of v above them are ignored.
+func (m *Memory) setBits64(a, n int64, v uint64) {
+	mask := ^uint64(0)
+	if n < 64 {
+		mask = 1<<uint(n) - 1
+	}
+	v &= mask
+	w, sh := a>>6, uint(a&63)
+	m.words[w] = m.words[w]&^(mask<<sh) | v<<sh
+	if sh != 0 && int64(64-sh) < n {
+		m.words[w+1] = m.words[w+1]&^(mask>>(64-sh)) | v>>(64-sh)
+	}
 }
 
 // DiffFrames returns the indices of frames that differ between m and o.

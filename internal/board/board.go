@@ -73,22 +73,18 @@ func New(p *place.Placed, seed int64) (*SLAAC1V, error) {
 		return nil, fmt.Errorf("board: configuring DUT: %w", err)
 	}
 	b := &SLAAC1V{
-		Placed: p,
-		Golden: golden,
-		DUT:    dut,
-		Port:   fpga.NewPort(dut),
-		rng:    newStim(seed),
+		Placed:  p,
+		Golden:  golden,
+		DUT:     dut,
+		Port:    fpga.NewPort(dut),
+		rng:     newStim(seed),
+		outNets: p.OutputNetIDs(),
 	}
 	for _, port := range p.Circuit.Inputs {
 		for _, pin := range p.InputPins[port.Name] {
 			if pin >= 0 {
 				b.inPins = append(b.inPins, pin)
 			}
-		}
-	}
-	for _, port := range p.Circuit.Outputs {
-		for _, ref := range p.OutputNets[port.Name] {
-			b.outNets = append(b.outNets, p.Geom.NetID(ref))
 		}
 	}
 	return b, nil

@@ -183,16 +183,46 @@ func (d *Device) writeByte(pos int64, b byte) {
 // each word in range once. Stats.Reads counts bytes; a read that hits a
 // double error counts the bytes before the bad word plus one.
 func (d *Device) Read(offset int64, n int) ([]byte, error) {
-	if offset < 0 || offset+int64(n) > int64(d.Capacity()) {
-		return nil, fmt.Errorf("flash: read [%d,%d) out of capacity %d", offset, offset+int64(n), d.Capacity())
+	if err := d.inRange(offset, n); err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
+	if err := d.read(offset, n, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Verify runs n bytes at a byte offset through the ECC path exactly as Read
+// does (corrections scrubbed back, Stats moved the same) without copying
+// them out or allocating.
+func (d *Device) Verify(offset int64, n int) error {
+	if err := d.inRange(offset, n); err != nil {
+		return err
+	}
+	return d.read(offset, n, nil)
+}
+
+func (d *Device) inRange(offset int64, n int) error {
+	if offset < 0 || offset+int64(n) > int64(d.Capacity()) {
+		return fmt.Errorf("flash: read [%d,%d) out of capacity %d", offset, offset+int64(n), d.Capacity())
+	}
+	return nil
+}
+
+// read decodes every word overlapping [offset, offset+n) once and copies
+// the bytes into out unless out is nil.
+func (d *Device) read(offset int64, n int, out []byte) error {
 	for k := 0; k < n; {
 		pos := offset + int64(k)
 		w, err := d.readWord(int(pos >> 3))
 		if err != nil {
 			d.stats.Reads += int64(k) + 1
-			return nil, err
+			return err
+		}
+		if out == nil {
+			k += 8 - int(pos&7)
+			continue
 		}
 		for sh := uint(pos&7) * 8; sh < 64 && k < n; sh += 8 {
 			out[k] = byte(w >> sh)
@@ -200,7 +230,7 @@ func (d *Device) Read(offset int64, n int) ([]byte, error) {
 		}
 	}
 	d.stats.Reads += int64(n)
-	return out, nil
+	return nil
 }
 
 // UpsetBit flips one stored bit (a radiation strike on the flash array).
@@ -250,14 +280,34 @@ func (s *Store) PutBytes(name string, raw []byte) error {
 // transparently, a double-bit upset surfaces as an error the caller must
 // handle by falling back to a redundant stored copy.
 func (s *Store) ReadAt(name string, off int64, n int) ([]byte, error) {
+	at, err := s.at(name, off, n)
+	if err != nil {
+		return nil, err
+	}
+	return s.dev.Read(at, n)
+}
+
+// VerifyAt is ReadAt for a caller that needs only the ECC outcome (the
+// corrections, the stats, a double-error verdict), not the bytes.
+func (s *Store) VerifyAt(name string, off int64, n int) error {
+	at, err := s.at(name, off, n)
+	if err != nil {
+		return err
+	}
+	return s.dev.Verify(at, n)
+}
+
+// at returns the device offset of n bytes at offset off within the named
+// blob.
+func (s *Store) at(name string, off int64, n int) (int64, error) {
 	e, ok := s.dir[name]
 	if !ok {
-		return nil, fmt.Errorf("flash: no blob %q", name)
+		return 0, fmt.Errorf("flash: no blob %q", name)
 	}
 	if off < 0 || off+int64(n) > e.n {
-		return nil, fmt.Errorf("flash: read [%d,%d) outside %q extent of %d bytes", off, off+int64(n), name, e.n)
+		return 0, fmt.Errorf("flash: read [%d,%d) outside %q extent of %d bytes", off, off+int64(n), name, e.n)
 	}
-	return s.dev.Read(e.off+off, n)
+	return e.off + off, nil
 }
 
 // WriteAt overwrites n bytes at byte offset off within the named blob with

@@ -211,22 +211,41 @@ func readRef(d *Device, offset int64, n int) ([]byte, error) {
 	return out, nil
 }
 
-func TestReadMatchesByteLoop(t *testing.T) {
+// eccFixture returns a 256-byte device of random data in which word 0
+// holds a single data-bit upset, word 2 a double, word 4 a single
+// parity-bit upset and word 5 an overall-bit upset; words 1 and 3 are clean.
+func eccFixture(t *testing.T) *Device {
+	t.Helper()
 	base := New(256)
 	data := make([]byte, 256)
 	rand.New(rand.NewSource(3)).Read(data)
 	if err := base.Write(0, data); err != nil {
 		t.Fatal(err)
 	}
-	// Word 0 holds a single data-bit upset, word 2 a double, word 4 a
-	// single parity-bit upset, word 5 an overall-bit upset; words 1 and 3
-	// are clean.
 	base.UpsetBit(0*64 + 13)
 	base.UpsetBit(2*64 + 5)
 	base.UpsetBit(2*64 + 40)
 	flipCodeword(base, 4, 66)
 	flipCodeword(base, 5, 71)
+	return base
+}
 
+// eccExtents visits unaligned offsets and lengths of 1-17 bytes across the
+// fixture's clean, corrected and double-error words, then whole-word ranges
+// past the double.
+func eccExtents(visit func(off int64, n int)) {
+	for off := int64(0); off < 56; off++ {
+		for n := 1; n <= 17; n++ {
+			visit(off, n)
+		}
+	}
+	for off := int64(24); off < 48; off += 8 {
+		visit(off, 24)
+	}
+}
+
+func TestReadMatchesByteLoop(t *testing.T) {
+	base := eccFixture(t)
 	compare := func(off int64, n int) (Stats, error) {
 		t.Helper()
 		got, ref := base.Clone(), base.Clone()
@@ -240,13 +259,7 @@ func TestReadMatchesByteLoop(t *testing.T) {
 		}
 		return got.Stats(), gotErr
 	}
-	// Unaligned offsets and lengths of 1-17 bytes across clean, corrected
-	// and double-error words.
-	for off := int64(0); off < 56; off++ {
-		for n := 1; n <= 17; n++ {
-			compare(off, n)
-		}
-	}
+	eccExtents(func(off int64, n int) { compare(off, n) })
 	// A corrected single in the head word.
 	if st, err := compare(3, 10); err != nil || st.CorrectedSingles != 1 || st.Reads != 10 {
 		t.Fatalf("Read(3, 10): stats %+v, %v; want one correction over 10 byte reads", st, err)
@@ -255,9 +268,52 @@ func TestReadMatchesByteLoop(t *testing.T) {
 	if st, err := compare(3, 20); err == nil || st.DetectedDoubles != 1 || st.Reads != 13+1 {
 		t.Fatalf("Read(3, 20): stats %+v, %v; want a detected double after 14 byte reads", st, err)
 	}
-	// Whole-word ranges past the double.
-	for off := int64(24); off < 48; off += 8 {
-		compare(off, 24)
+}
+
+// TestVerifyMatchesRead checks that Verify leaves the device exactly as Read
+// does (stats, scrubbed-back corrections, double-error verdict) over Read's
+// own test grid, and that it allocates nothing.
+func TestVerifyMatchesRead(t *testing.T) {
+	base := eccFixture(t)
+	eccExtents(func(off int64, n int) {
+		got, ref := base.Clone(), base.Clone()
+		gotErr := got.Verify(off, n)
+		_, refErr := ref.Read(off, n)
+		if (gotErr == nil) != (refErr == nil) {
+			t.Fatalf("Verify(%d, %d) = %v; Read %v", off, n, gotErr, refErr)
+		}
+		if got.Stats() != ref.Stats() {
+			t.Fatalf("Verify(%d, %d) stats %+v; Read %+v", off, n, got.Stats(), ref.Stats())
+		}
+		for i := range got.words {
+			if got.words[i] != ref.words[i] || got.ecc[i] != ref.ecc[i] {
+				t.Fatalf("Verify(%d, %d) left word %d as %x/%02x; Read %x/%02x",
+					off, n, i, got.words[i], got.ecc[i], ref.words[i], ref.ecc[i])
+			}
+		}
+	})
+	if err := base.Verify(250, 7); err == nil {
+		t.Error("Verify past capacity succeeded")
+	}
+	clean := New(256)
+	if allocs := testing.AllocsPerRun(10, func() { _ = clean.Verify(3, 200) }); allocs != 0 {
+		t.Errorf("Verify allocates %.0f times per call", allocs)
+	}
+
+	// VerifyAt resolves extents as ReadAt does.
+	st := NewStore(New(256))
+	if err := st.PutBytes("blob", make([]byte, 40)); err != nil {
+		t.Fatal(err)
+	}
+	st.Device().UpsetBit(2*64 + 9)
+	if err := st.VerifyAt("blob", 16, 8); err != nil || st.Device().Stats().CorrectedSingles != 1 {
+		t.Errorf("VerifyAt over an upset word: %v, stats %+v", err, st.Device().Stats())
+	}
+	if err := st.VerifyAt("blob", 36, 8); err == nil {
+		t.Error("VerifyAt past the extent succeeded")
+	}
+	if err := st.VerifyAt("other", 0, 1); err == nil {
+		t.Error("VerifyAt of an unknown blob succeeded")
 	}
 }
 

@@ -338,7 +338,7 @@ func (s *boardSim) halfLatchStrike(st *Strike) {
 // record for frame f.
 func (s *boardSim) fetchGolden(off int64, n int, f int32, at time.Duration) {
 	before := s.fl.Device().Stats().CorrectedSingles
-	_, err := s.fl.ReadAt(goldenBlob, off, n)
+	err := s.fl.VerifyAt(goldenBlob, off, n)
 	if err != nil {
 		s.res.flashFallbacks++
 		// The extent lies inside the golden blob, so the rewrite cannot fail.

@@ -4,10 +4,10 @@ import (
 	"math/bits"
 	"sort"
 
-	"repro/internal/board"
 	"repro/internal/designs"
 	"repro/internal/device"
 	"repro/internal/flash"
+	"repro/internal/fpga"
 	"repro/internal/place"
 )
 
@@ -65,11 +65,19 @@ func BuildModel(designName string, geom device.Geometry, coverage float64) (*Mod
 	if err != nil {
 		return nil, err
 	}
-	bd, err := board.New(placed, 1)
-	if err != nil {
+	// One configured device is all the model reads: its half-latch sites
+	// and its cone of influence from the design outputs.
+	golden := fpga.New(geom)
+	if err := golden.FullConfigure(placed.Bitstream()); err != nil {
 		return nil, err
 	}
+	return newModel(designName, placed, golden, placed.OutputNetIDs(), coverage)
+}
 
+// newModel derives the model from a placed design, a device fully
+// configured with it, and the net IDs of the design's outputs.
+func newModel(designName string, placed *place.Placed, golden *fpga.FPGA, outNets []int, coverage float64) (*Model, error) {
+	geom := placed.Geom
 	m := &Model{
 		DesignName: designName,
 		Geom:       geom,
@@ -78,13 +86,13 @@ func BuildModel(designName string, geom device.Geometry, coverage float64) (*Mod
 		TotalBits:  geom.TotalBits(),
 		FFs:        geom.CLBs() * device.FFsPerCLB,
 	}
-	m.HalfLatchSites = len(bd.Golden.HalfLatchSites())
+	m.HalfLatchSites = len(golden.HalfLatchSites())
 
 	// Per-frame sensitive-bit counts from the static mask. The mask is the
 	// triage oracle internal/seu uses: conservative (set bits are
 	// *potentially* sensitive), which is the right polarity for an
 	// availability model.
-	mask, _ := bd.Golden.SensitivityMask(bd.OutputNetIDs())
+	mask, _ := golden.SensitivityMask(outNets)
 	frameLen := geom.FrameLength()
 	m.SensFrac = make([]float64, m.Frames)
 	sensCount := make([]int64, m.Frames)
@@ -99,10 +107,9 @@ func BuildModel(designName string, geom device.Geometry, coverage float64) (*Mod
 	}
 
 	// Golden image: frames concatenated in order, through the ECC store.
-	golden := placed.Memory
 	m.Golden = make([]byte, 0, m.Frames*m.FrameBytes)
 	for f := 0; f < m.Frames; f++ {
-		m.Golden = append(m.Golden, golden.Frame(f).Data...)
+		m.Golden = append(m.Golden, placed.Memory.Frame(f).Data...)
 	}
 	capacity := (len(m.Golden) + 63) &^ 63 // word-aligned slack
 	dev := flash.New(capacity + 64)

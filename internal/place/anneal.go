@@ -20,18 +20,17 @@ import (
 // identified either by plan index or by a fixed pin location.
 type annealEdge struct {
 	srcPlan int // -1 when the source is a pin
-	srcR    int // pin edge-CLB location when srcPlan < 0
-	srcC    int
+	srcPos  int // packed pin edge-CLB location when srcPlan < 0
 	dstPlan int
 }
 
-// edgeCost estimates routing cost from (sr,sc) to (dr,dc).
-func edgeCost(sr, sc, dr, dc int) float64 {
-	if sr == dr && sc == dc {
+// edgeCost estimates the routing cost of a connection whose sink lies vr
+// rows south and hc columns east of its source. Costs are small integers,
+// so the annealer's sums of them are exact.
+func edgeCost(vr, hc int) int {
+	if vr == 0 && hc == 0 {
 		return 0
 	}
-	vr := dr - sr
-	hc := dc - sc
 	if hc == 0 && vr == device.HexDistance {
 		return 0 // hex wire
 	}
@@ -39,13 +38,11 @@ func edgeCost(sr, sc, dr, dc int) float64 {
 		return 0 // direct neighbour
 	}
 	// Southward vertical travel rides hex wires; northward pays per row.
-	var vcost float64
+	vcost := -vr
 	if vr > 0 {
-		vcost = float64(vr/device.HexDistance + vr%device.HexDistance)
-	} else {
-		vcost = float64(-vr)
+		vcost = vr/device.HexDistance + vr%device.HexDistance
 	}
-	return vcost + float64(abs(hc))
+	return vcost + abs(hc)
 }
 
 func abs(x int) int {
@@ -61,6 +58,8 @@ func (p *placer) annealPlacement(plans []sitePlan, clbOf []int, rng *rand.Rand) 
 	if len(plans) < 2 {
 		return
 	}
+	// Positions are packed as r*pitch + c (see pos below).
+	pitch := 2 * g.Cols
 	// Build edges.
 	planOfNode := make([]int, len(p.c.Nodes))
 	for i := range planOfNode {
@@ -79,7 +78,7 @@ func (p *placer) annealPlacement(plans []sitePlan, clbOf []int, rng *rand.Rand) 
 		}
 		if pin, ok := p.sigPin[sig]; ok {
 			if er, ec, ok2 := p.edgeCLBOf(pin); ok2 {
-				edges = append(edges, annealEdge{srcPlan: -1, srcR: er, srcC: ec, dstPlan: dstPlan})
+				edges = append(edges, annealEdge{srcPlan: -1, srcPos: er*pitch + ec, dstPlan: dstPlan})
 			}
 		}
 	}
@@ -99,36 +98,48 @@ func (p *placer) annealPlacement(plans []sitePlan, clbOf []int, rng *rand.Rand) 
 			byPlan[e.srcPlan] = append(byPlan[e.srcPlan], ei)
 		}
 	}
-	cost := func(ei int) float64 {
-		e := edges[ei]
-		sr, sc := e.srcR, e.srcC
-		if e.srcPlan >= 0 {
-			clb := clbOf[e.srcPlan]
-			sr, sc = clb/g.Cols, clb%g.Cols
+	// Each plan's position is packed as r*pitch + c with a pitch of twice
+	// the column count, so the offset between two positions names (vr, hc)
+	// uniquely and one table lookup prices an edge. pos is kept in step
+	// with clbOf. occupants[clb] lists the plans in each CLB in ascending
+	// plan order: a swap partner drawn from it is the one a scan of every
+	// plan would find. The initial layout's row wrap can put more than
+	// MaxSitesPerCLB plans in one CLB, so the lists are unbounded.
+	zero := (g.Rows-1)*pitch + g.Cols - 1 // table index of offset (0, 0)
+	costOf := make([]int32, (2*g.Rows-1)*pitch)
+	for vr := 1 - g.Rows; vr < g.Rows; vr++ {
+		for hc := 1 - g.Cols; hc < g.Cols; hc++ {
+			costOf[zero+vr*pitch+hc] = int32(edgeCost(vr, hc))
 		}
-		dclb := clbOf[e.dstPlan]
-		return edgeCost(sr, sc, dclb/g.Cols, dclb%g.Cols)
 	}
-	planCost := func(pi int) float64 {
-		t := 0.0
+	pos := make([]int, len(plans))
+	occupants := make([][]int32, g.CLBs())
+	for pi, clb := range clbOf {
+		pos[pi] = clb/g.Cols*pitch + clb%g.Cols
+		occupants[clb] = append(occupants[clb], int32(pi))
+	}
+	cost := func(ei int) int {
+		e := &edges[ei]
+		sp := e.srcPos
+		if e.srcPlan >= 0 {
+			sp = pos[e.srcPlan]
+		}
+		return int(costOf[zero+pos[e.dstPlan]-sp])
+	}
+	planCost := func(pi int) int {
+		t := 0
 		for _, ei := range byPlan[pi] {
 			t += cost(ei)
 		}
 		return t
 	}
-
-	// Occupancy per CLB (design sites only, capped at MaxSitesPerCLB).
-	occ := make([]int8, g.CLBs())
-	for _, clb := range clbOf {
-		occ[clb]++
+	// accept draws a uniform variate only for an uphill move, so the RNG
+	// sequence depends on nothing but the costs.
+	accept := func(before, after int, temp float64) bool {
+		return after <= before || rng.Float64() < math.Exp(float64(before-after)/temp)
 	}
+
 	intRows, intCols := g.Rows-2, g.Cols-2
-	randInterior := func() int {
-		r := rng.Intn(intRows) + 1
-		c := rng.Intn(intCols) + 1
-		return r*g.Cols + c
-	}
-
 	n := len(plans)
 	iters := 220 * n
 	temp := 2.5
@@ -136,45 +147,59 @@ func (p *placer) annealPlacement(plans []sitePlan, clbOf []int, rng *rand.Rand) 
 	for it := 0; it < iters; it++ {
 		pi := rng.Intn(n)
 		old := clbOf[pi]
-		target := randInterior()
+		tr := rng.Intn(intRows) + 1
+		tc := rng.Intn(intCols) + 1
+		target := tr*g.Cols + tc
 		if target == old {
 			temp *= cool
 			continue
 		}
-		var swapWith = -1
-		if occ[target] >= int8(p.opt.MaxSitesPerCLB) {
+		op, tp := pos[pi], tr*pitch+tc
+		if here := occupants[target]; len(here) >= p.opt.MaxSitesPerCLB {
 			// Swap with a random plan living there.
-			cands := make([]int, 0, 4)
-			for pj := range plans {
-				if clbOf[pj] == target {
-					cands = append(cands, pj)
-				}
-			}
-			if len(cands) == 0 {
-				temp *= cool
-				continue
-			}
-			swapWith = cands[rng.Intn(len(cands))]
-		}
-		var before, after float64
-		if swapWith >= 0 {
-			before = planCost(pi) + planCost(swapWith)
-			clbOf[pi], clbOf[swapWith] = target, old
-			after = planCost(pi) + planCost(swapWith)
-			if after > before && rng.Float64() >= math.Exp((before-after)/temp) {
-				clbOf[pi], clbOf[swapWith] = old, target // reject
+			pj := int(here[rng.Intn(len(here))])
+			before := planCost(pi) + planCost(pj)
+			pos[pi], pos[pj] = tp, op
+			after := planCost(pi) + planCost(pj)
+			if accept(before, after, temp) {
+				clbOf[pi], clbOf[pj] = target, old
+				replaceOccupant(occupants[target], int32(pj), int32(pi))
+				replaceOccupant(occupants[old], int32(pi), int32(pj))
+			} else {
+				pos[pi], pos[pj] = op, tp
 			}
 		} else {
-			before = planCost(pi)
-			clbOf[pi] = target
-			after = planCost(pi)
-			if after > before && rng.Float64() >= math.Exp((before-after)/temp) {
-				clbOf[pi] = old // reject
+			before := planCost(pi)
+			pos[pi] = tp
+			after := planCost(pi)
+			if accept(before, after, temp) {
+				clbOf[pi] = target
+				// Plan n sorts after every real plan: it carries pi out
+				// of the old list's tail and into the target list's.
+				replaceOccupant(occupants[old], int32(pi), int32(n))
+				occupants[old] = occupants[old][:len(occupants[old])-1]
+				occupants[target] = append(occupants[target], int32(n))
+				replaceOccupant(occupants[target], int32(n), int32(pi))
 			} else {
-				occ[old]--
-				occ[target]++
+				pos[pi] = op
 			}
 		}
 		temp *= cool
+	}
+}
+
+// replaceOccupant overwrites plan out with plan in in an ascending
+// occupant list and moves in to its sorted position.
+func replaceOccupant(list []int32, out, in int32) {
+	i := 0
+	for list[i] != out {
+		i++
+	}
+	list[i] = in
+	for ; i > 0 && list[i-1] > in; i-- {
+		list[i], list[i-1] = list[i-1], in
+	}
+	for ; i+1 < len(list) && list[i+1] < in; i++ {
+		list[i], list[i+1] = list[i+1], in
 	}
 }

@@ -82,6 +82,18 @@ func (p *Placed) Utilization() float64 {
 	return float64(p.SlicesUsed()) / float64(p.Geom.Slices())
 }
 
+// OutputNetIDs returns the fabric net ID of every design output bit, port
+// by port in circuit order: the nets a comparator watches.
+func (p *Placed) OutputNetIDs() []int {
+	var ids []int
+	for _, port := range p.Circuit.Outputs {
+		for _, ref := range p.OutputNets[port.Name] {
+			ids = append(ids, p.Geom.NetID(ref))
+		}
+	}
+	return ids
+}
+
 // Bitstream assembles the full configuration bitstream.
 func (p *Placed) Bitstream() *bitstream.Bitstream { return bitstream.Full(p.Memory) }
 
