@@ -46,9 +46,6 @@ type SLAAC1V struct {
 	// mismatch is the scratch buffer MismatchBits reuses between calls, so
 	// the per-clock comparator stays allocation-free on the hot path.
 	mismatch []int
-	// lock caches per-frame configuration-compare verdicts for Locked (see
-	// lockstep.go).
-	lock lockTracker
 }
 
 // SetEventDriven switches both devices between the activity-driven settling

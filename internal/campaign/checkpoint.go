@@ -237,18 +237,6 @@ func (st *store) loadChunks(id string, plan []seu.ChunkSpec) (map[int]*seu.Chunk
 	return out, nil
 }
 
-// chunkCount reports how many chunks the job's manifest references — the
-// checkpoint-density observable tests assert on.
-func (st *store) chunkCount(id string) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	m, err := st.loadManifestLocked(id)
-	if err != nil {
-		return 0
-	}
-	return len(m.Chunks)
-}
-
 func (st *store) pinKeyLocked(id, key string) {
 	set := st.jobPins[id]
 	if set == nil {

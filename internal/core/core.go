@@ -15,7 +15,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fpga"
 	"repro/internal/halflatch"
-	"repro/internal/netlist"
 	"repro/internal/payload"
 	"repro/internal/place"
 	"repro/internal/radiation"
@@ -53,11 +52,6 @@ type Config struct {
 	Kernel seu.Kernel
 }
 
-// DefaultConfig returns the standard experiment configuration.
-func DefaultConfig() Config {
-	return Config{Geom: device.Small(), Seed: 1, Sample: 1.0}
-}
-
 // Build places a catalogued design on the configured geometry.
 func Build(cfg Config, name string) (*place.Placed, error) {
 	spec, err := designs.ByName(name)
@@ -65,11 +59,6 @@ func Build(cfg Config, name string) (*place.Placed, error) {
 		return nil, err
 	}
 	return place.Place(spec.Build(), cfg.Geom)
-}
-
-// BuildCircuit places an arbitrary netlist.
-func BuildCircuit(cfg Config, c *netlist.Circuit) (*place.Placed, error) {
-	return place.Place(c, cfg.Geom)
 }
 
 // Testbed instantiates the SLAAC-1V harness for a placed design.

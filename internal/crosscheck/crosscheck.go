@@ -103,7 +103,6 @@ func (p Params) options(pt Point) seu.Options {
 		Seed:                p.Seed,
 		Workers:             pt.Workers,
 		ClassifyPersistence: true,
-		CollectBits:         true,
 		Triage:              pt.Production,
 		FastSim:             pt.Production,
 		Kernel:              kernel,

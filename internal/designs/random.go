@@ -24,16 +24,6 @@ func Random(seed int64) Spec {
 	}
 }
 
-// RandomCatalog returns n seeded random designs derived from a base seed,
-// for registration alongside Catalog() in conformance sweeps.
-func RandomCatalog(n int, seed int64) []Spec {
-	specs := make([]Spec, n)
-	for i := range specs {
-		specs[i] = Random(seed + int64(i))
-	}
-	return specs
-}
-
 // replTruth replicates a truth table over k used inputs to the full 16-bit
 // LUT table, so the LUT's value is independent of whatever the placer
 // routes to the unused inputs.

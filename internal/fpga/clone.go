@@ -49,7 +49,6 @@ func (f *FPGA) Clone() *FPGA {
 		work:        f.work.clone(),
 		staleLL:     append([]int32(nil), f.staleLL...),
 		staleLLMark: append([]bool(nil), f.staleLLMark...),
-		hiddenGen:   f.hiddenGen,
 	}
 	n.bramMem = make([][]uint16, len(f.bramMem))
 	for i := range f.bramMem {

@@ -61,15 +61,6 @@ func (f *FPGA) SetEventDriven(on bool) {
 // EventDriven reports whether the activity-driven kernel is active.
 func (f *FPGA) EventDriven() bool { return f.eventSim }
 
-// EventBacklog reports whether the event kernel holds unprocessed work —
-// true only when the last Settle froze an oscillation at the MaxSweeps
-// bound. Board-level convergence detection must treat a backlogged device
-// as undetermined, because pending work encodes future behaviour the
-// visible net state alone does not.
-func (f *FPGA) EventBacklog() bool {
-	return f.eventSim && (f.work.pending() || len(f.staleLL) > 0)
-}
-
 // scheduleLUT queues LUT li (dense index) for re-evaluation in the next
 // settle round. Safe to call from any mutation hook outside a round.
 func (f *FPGA) scheduleLUT(li int32) {

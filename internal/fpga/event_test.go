@@ -209,12 +209,8 @@ func TestStateEqualAndHash(t *testing.T) {
 	}
 
 	// Half-latch divergence is hidden state, invisible to the core check.
-	gen := c.HiddenGen()
 	s := HalfLatchSite{Kind: HLLongLine, LL: 0}
 	c.FlipHalfLatch(s)
-	if c.HiddenGen() == gen {
-		t.Fatal("half-latch flip must advance HiddenGen")
-	}
 	c.Settle()
 	f.Settle()
 	if HiddenStateEqual(f, c) {
@@ -362,11 +358,11 @@ func TestCloneResumesFrozenBacklog(t *testing.T) {
 		ev.MaxSweeps, sw.MaxSweeps = 2, 2
 		ev.Step()
 		sw.Step()
-		if !ev.EventBacklog() {
+		if !eventBacklog(ev) {
 			continue
 		}
 		c := ev.Clone()
-		if !c.EventBacklog() {
+		if !eventBacklog(c) {
 			t.Fatal("clone lost the frozen backlog")
 		}
 		for step := 0; step < 20; step++ {
@@ -387,6 +383,13 @@ func TestCloneResumesFrozenBacklog(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed froze an oscillation at MaxSweeps 2")
+}
+
+// eventBacklog reports whether f's event kernel holds unprocessed work: a
+// pending worklist or stale long lines, left only by a Settle that froze an
+// oscillation at the MaxSweeps bound.
+func eventBacklog(f *FPGA) bool {
+	return f.work.pending() || len(f.staleLL) > 0
 }
 
 // TestEventSettleAllocs is the allocation audit of the scalar event kernel:

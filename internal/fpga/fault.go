@@ -106,7 +106,6 @@ func (f *FPGA) HalfLatchSites() []HalfLatchSite {
 // recovery modelled by the radiation package) restores it.
 func (f *FPGA) FlipHalfLatch(s HalfLatchSite) {
 	g := f.geom
-	f.hiddenGen++
 	switch s.Kind {
 	case HLInput:
 		i := (s.R*g.Cols+s.C)*device.InMuxWays + s.Slot
@@ -145,19 +144,14 @@ func (f *FPGA) RestoreHalfLatch(s HalfLatchSite) {
 		i := (s.R*g.Cols+s.C)*device.InMuxWays + s.Slot
 		if !f.inHL[i] {
 			f.inHL[i] = true
-			f.hiddenGen++
 			f.scheduleCLB(s.R*g.Cols + s.C)
 		}
 	case HLCE:
 		i := (s.R*g.Cols+s.C)*device.FFsPerCLB + s.FF
-		if !f.ceHL[i] {
-			f.ceHL[i] = true
-			f.hiddenGen++
-		}
+		f.ceHL[i] = true
 	case HLLongLine:
 		if !f.llHL[s.LL] {
 			f.llHL[s.LL] = true
-			f.hiddenGen++
 			f.markLLStale(s.LL)
 		}
 	}
@@ -167,10 +161,9 @@ func (f *FPGA) RestoreHalfLatch(s HalfLatchSite) {
 
 // UpsetControlLogic models an SEU in the configuration state machines: the
 // device becomes unprogrammed (outputs dead, readback junk) until a full
-// reconfiguration. Counts as a hidden-state mutation.
+// reconfiguration.
 func (f *FPGA) UpsetControlLogic() {
 	f.unprogrammed = true
-	f.hiddenGen++
 }
 
 // --- Permanent faults ------------------------------------------------------
@@ -181,7 +174,6 @@ func (f *FPGA) UpsetControlLogic() {
 func (f *FPGA) SetStuck(seg device.Segment, v bool) {
 	f.stuck[seg] = v
 	f.hasStuck = true
-	f.hiddenGen++
 	f.scheduleCLB(seg.R*f.geom.Cols + seg.C)
 }
 
@@ -189,7 +181,6 @@ func (f *FPGA) SetStuck(seg device.Segment, v bool) {
 func (f *FPGA) ClearStuck(seg device.Segment) {
 	delete(f.stuck, seg)
 	f.hasStuck = len(f.stuck) > 0
-	f.hiddenGen++
 	f.scheduleCLB(seg.R*f.geom.Cols + seg.C)
 }
 
@@ -200,7 +191,6 @@ func (f *FPGA) ClearAllStuck() {
 	}
 	f.stuck = make(map[device.Segment]bool)
 	f.hasStuck = false
-	f.hiddenGen++
 }
 
 // StuckFaults returns a copy of the active permanent-fault overlay.

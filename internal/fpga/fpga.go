@@ -156,11 +156,6 @@ type FPGA struct {
 	// srlScratch is clock()'s reusable buffer of pending SRL16 shifts.
 	srlScratch []srlUpdate
 
-	// hiddenGen counts mutations of hidden state (half-latch keepers, the
-	// stuck-at overlay, control-logic upsets, reconfiguration) so lock-step
-	// detection can cache its results.
-	hiddenGen uint64
-
 	// Cycle counter since the last full configuration or reset.
 	cycle int64
 
@@ -249,10 +244,6 @@ func (f *FPGA) Cycle() int64 { return f.cycle }
 // upset; only a full reconfiguration recovers the device.
 func (f *FPGA) Unprogrammed() bool { return f.unprogrammed }
 
-// LastSweeps returns the number of settling sweeps used by the most recent
-// combinational evaluation (diagnostic).
-func (f *FPGA) LastSweeps() int { return f.lastSweeps }
-
 // FullConfigure loads a complete bitstream: all frames are written, the
 // configuration is decoded, and the start-up sequence runs — flip-flops
 // load their init values and every half-latch keeper is initialized to 1.
@@ -310,7 +301,6 @@ func (f *FPGA) startup() {
 	}
 	f.unprogrammed = false
 	f.cycle = 0
-	f.hiddenGen++
 	f.rebuildOrder()
 	f.invalidateEvents()
 	f.Settle()

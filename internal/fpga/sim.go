@@ -20,9 +20,6 @@ func (f *FPGA) SetPin(p int, v bool) {
 	}
 }
 
-// Pin returns the current value of pin p as seen by the fabric.
-func (f *FPGA) Pin(p int) bool { return f.netVal[f.pinNetID(p)] }
-
 func (f *FPGA) pinNetID(p int) int {
 	g := f.geom
 	return 4*g.CLBs() + device.LongLinesPerRow*g.Rows + device.LongLinesPerCol*g.Cols + p

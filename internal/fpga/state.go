@@ -4,8 +4,8 @@ import (
 	"repro/internal/device"
 )
 
-// Divergence-relevant device state, factored for the board-level lock-step
-// detector (board.SLAAC1V.Locked). Two devices whose configuration memories
+// Divergence-relevant device state, compared by board.SLAAC1V.StateEqual
+// and the conformance checks. Two devices whose configuration memories
 // are equal AND whose state below is equal will produce identical behaviour
 // for identical future stimulus — every input to Settle/clock is either
 // configuration (compared via bitstream.Memory), state compared here, or
@@ -17,8 +17,8 @@ import (
 
 // CoreStateEqual compares the frequently-diverging user state of two
 // devices: flip-flops, combinational values, nets, and BRAM output
-// registers. Cheap relative to a configuration compare; ordered first by
-// the lock detector so a still-diverged pair exits early.
+// registers. Cheap relative to a configuration compare, so UserStateEqual
+// checks it first and a still-diverged pair exits early.
 func CoreStateEqual(a, b *FPGA) bool {
 	if a.unprogrammed != b.unprogrammed || a.MaxSweeps != b.MaxSweeps {
 		return false
@@ -52,8 +52,7 @@ func CoreStateEqual(a, b *FPGA) bool {
 }
 
 // HiddenStateEqual compares the hidden state a readback cannot observe:
-// half-latch keepers and the permanent stuck-at overlay. Changes rarely;
-// callers cache the verdict keyed on HiddenGen.
+// half-latch keepers and the permanent stuck-at overlay.
 func HiddenStateEqual(a, b *FPGA) bool {
 	for i, v := range a.inHL {
 		if v != b.inHL[i] {
@@ -97,7 +96,7 @@ func StateEqual(a, b *FPGA) bool {
 // StateHash folds all divergence-relevant state — configuration memory
 // (which carries SRL truth bits and BRAM content), flip-flops, nets, BRAM
 // output registers, and hidden state — into one 64-bit digest. Diagnostic
-// companion to StateEqual: equal states hash equal; the lock detector uses
+// companion to StateEqual: equal states hash equal; equality checks use
 // the exact comparisons.
 func (f *FPGA) StateHash() uint64 {
 	h := uint64(1469598103934665603) // FNV-1a offset basis
@@ -145,12 +144,6 @@ func (f *FPGA) StateHash() uint64 {
 	mix(stuckAcc)
 	return f.cm.Hash(h)
 }
-
-// HiddenGen returns the hidden-state mutation counter: it advances on every
-// half-latch flip/restore, stuck-overlay edit, control-logic upset and
-// reconfiguration, letting callers cache HiddenStateEqual verdicts between
-// mutations.
-func (f *FPGA) HiddenGen() uint64 { return f.hiddenGen }
 
 // HistoryCoupled reports whether the configuration carries live state that
 // survives a campaign-style reset — SRL16 shift registers (truth bits are

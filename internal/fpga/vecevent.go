@@ -39,8 +39,7 @@ import (
 //     worklist in place so the next Settle resumes the identical
 //     trajectory.
 //
-// frozenLanes is the per-lane analogue of the scalar EventBacklog gate.
-// Convergence credit (board.LockedWord) must not trust a lane whose visible
+// frozenLanes gates convergence credit lane by lane. Convergence credit (board.LockedWord) must not trust a lane whose visible
 // state hides pending worklist work, but a global backlog flag would make
 // one lane's oscillation deny credit to unrelated lanes — and batch
 // composition varies with chunk boundaries and worker count, so cycle

@@ -204,13 +204,6 @@ type VectorSnapshot struct {
 	bramOut []uint16
 }
 
-// CaptureVectorSnapshot records the device's current settled state.
-func (f *FPGA) CaptureVectorSnapshot() *VectorSnapshot {
-	s := &VectorSnapshot{}
-	f.CaptureVectorSnapshotInto(s)
-	return s
-}
-
 // CaptureVectorSnapshotInto records the device's current settled state into
 // s, reusing its slices — the allocation-free variant for per-lane carry
 // captures on the campaign hot path.

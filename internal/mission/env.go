@@ -247,6 +247,12 @@ func genStrikes(m *Model, cfg *Config, flares []Window, b int) ([]Strike, error)
 		}
 		rate := base
 		if env.OrbitPeriod > 0 {
+			// cos ≤ 1 and amplitude ≥ 0 (validate), so a candidate the
+			// orbit's peak rejects is rejected at every phase: skip the
+			// phase arithmetic for it.
+			if accept*boundPerHour >= base*(1+env.OrbitAmplitude) {
+				continue
+			}
 			frac := math.Mod(float64(t)/float64(env.OrbitPeriod)+phase, 1)
 			rate *= 1 + env.OrbitAmplitude*math.Cos(2*math.Pi*frac)
 		}

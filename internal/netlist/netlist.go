@@ -96,17 +96,6 @@ func (c *Circuit) DriverOf() []int {
 	return d
 }
 
-// inputSet returns a bitmap of signals driven by input ports.
-func (c *Circuit) inputSet() []bool {
-	in := make([]bool, c.NumSignals)
-	for _, p := range c.Inputs {
-		for _, s := range p.Bits {
-			in[s] = true
-		}
-	}
-	return in
-}
-
 // Validate checks structural invariants: every signal has exactly one
 // driver (node or input port), node pin counts are legal, ports reference
 // valid signals, and the combinational LUT graph is acyclic.

@@ -74,9 +74,6 @@ func (p *Placed) SlicesUsed() int {
 	return len(seen)
 }
 
-// SitesUsed returns every occupied LUT/FF site including route-throughs.
-func (p *Placed) SitesUsed() int { return len(p.Sites) }
-
 // Utilization returns used slices / total slices.
 func (p *Placed) Utilization() float64 {
 	return float64(p.SlicesUsed()) / float64(p.Geom.Slices())

@@ -163,7 +163,6 @@ type ChunkRunner struct {
 	golden *bitstream.Memory
 	tri    *triage
 	fs     *frameScrub
-	fast   bool
 	opts   Options
 	plan   *prePlan
 	vr     *vectorRunner // built by the first Run
@@ -188,11 +187,7 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 		bd:     bd,
 		golden: bd.DUT.ConfigMemory().Clone(),
 		fs:     newFrameScrub(bd.Geometry()),
-		// Convergence early exit is exact only when no live design state
-		// survives a campaign reset; history-coupled configurations keep
-		// simulating every cycle (the kernel choice alone is always exact).
-		fast: opts.FastSim && !bd.DUT.HistoryCoupled(),
-		opts: opts,
+		opts:   opts,
 	}
 	if opts.Triage {
 		r.tri = newTriage(bd)
@@ -215,7 +210,6 @@ func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
 		golden:   r.golden,
 		tri:      r.tri,
 		fs:       newFrameScrub(wb.Geometry()),
-		fast:     r.fast,
 		opts:     r.opts,
 		plan:     r.plan,
 		limit:    r.limit,
@@ -243,7 +237,7 @@ func (r *ChunkRunner) Run(ctx context.Context, spec ChunkSpec) (*ChunkResult, er
 		r.vr = maybeNewVectorRunner(r.bd, r.plan)
 	}
 	cr := newChunkResult(spec.Index)
-	if err := runRange(ctx, r.bd, r.golden, spec.Lo, spec.Hi, r.opts, cr, r.tri, r.fs, r.fast, r.vr, r.plan); err != nil {
+	if err := runRange(ctx, r.bd, r.golden, spec.Lo, spec.Hi, r.opts, cr, r.tri, r.fs, r.vr, r.plan); err != nil {
 		return nil, err
 	}
 	return cr, nil

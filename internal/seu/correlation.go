@@ -33,7 +33,7 @@ type CorrelationTable struct {
 }
 
 // Correlate builds the correlation table from a report's collected
-// sensitive bits (requires Options.CollectBits).
+// sensitive bits; every campaign collects them.
 func Correlate(rep *Report) *CorrelationTable {
 	t := &CorrelationTable{ByOutput: make(map[int]int)}
 	for _, bit := range rep.SensitiveBits {

@@ -69,3 +69,24 @@ func TestFastSimEquivalence(t *testing.T) {
 		t.Fatal("convergence early exit never skipped a cycle on any catalog design")
 	}
 }
+
+// TestSweepOracleSimulatesEveryCycle: convergence credit lives only in the
+// vector lanes. With FastSim on, the sweep oracle still steps every cycle —
+// no cycle skipped, the same cycle count and results as the FastSim-off
+// oracle — while the vector kernel on the same campaign credits cycles.
+func TestSweepOracleSimulatesEveryCycle(t *testing.T) {
+	off := vectorCampaign(t, func(o *Options) { o.Kernel, o.FastSim = KernelSweep, false })
+	on := vectorCampaign(t, func(o *Options) { o.Kernel, o.FastSim = KernelSweep, true })
+	if on.CyclesSkipped != 0 {
+		t.Fatalf("sweep oracle skipped %d cycles with FastSim on", on.CyclesSkipped)
+	}
+	if on.CyclesSimulated != off.CyclesSimulated {
+		t.Fatalf("sweep oracle simulated %d cycles with FastSim on, %d with it off", on.CyclesSimulated, off.CyclesSimulated)
+	}
+	assertReportsEqual(t, off, on)
+	vec := vectorCampaign(t, func(o *Options) { o.Kernel, o.FastSim = KernelVector, true })
+	if vec.CyclesSkipped == 0 {
+		t.Fatal("vector kernel credited no cycles with FastSim on")
+	}
+	assertReportsEqual(t, off, vec)
+}

@@ -110,9 +110,9 @@ func closed(ch <-chan struct{}) bool {
 // campaign stops with the board between iterations, never mid-repair. A
 // pending vector batch always flushes inside the range that enqueued it,
 // so chunk results stay a pure function of their spec.
-func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, lo, hi int64, opts Options, cr *ChunkResult, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner, plan *prePlan) error {
+func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, lo, hi int64, opts Options, cr *ChunkResult, tri *triage, fs *frameScrub, vr *vectorRunner, plan *prePlan) error {
 	if vr != nil {
-		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, cr, tri, fs, fast, vr)
+		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, cr, tri, fs, vr)
 	}
 	g := bd.Geometry()
 	for a := device.BitAddr(lo); int64(a) < hi; a++ {
@@ -140,7 +140,7 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := injectOne(bd, golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, cr, fs, fast); err != nil {
+		if err := injectOne(bd, golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, cr, fs); err != nil {
 			return err
 		}
 	}
@@ -153,7 +153,7 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 // work, dispatching on each entry's precomputed disposition. The planner
 // never runs here — classification happened exactly once per sampled bit,
 // in buildPrePlan.
-func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, cr *ChunkResult, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner) error {
+func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, cr *ChunkResult, tri *triage, fs *frameScrub, vr *vectorRunner) error {
 	kinds, triaged := plan.tally(lo, hi, opts, bd.Geometry(), tri)
 	for k, n := range kinds {
 		if n != 0 {
@@ -177,15 +177,15 @@ func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.M
 				return err
 			}
 		case planScalar:
-			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, cr, fs, fast); err != nil {
+			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, cr, fs); err != nil {
 				return err
 			}
 			continue
 		}
 		if vr.shouldFlush() {
-			vr.flush(opts, cr, fast)
+			vr.flush(opts, cr)
 		}
 	}
-	vr.flush(opts, cr, fast)
+	vr.flush(opts, cr)
 	return nil
 }

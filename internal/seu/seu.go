@@ -46,9 +46,6 @@ type Options struct {
 	// ClassifyPersistence enables the paper's persistent/non-persistent
 	// classification pass for every sensitive bit.
 	ClassifyPersistence bool
-	// CollectBits records the address of every sensitive bit (needed for
-	// beam-validation correlation and selective TMR).
-	CollectBits bool
 	// Triage enables the campaign-scoped static cone-of-influence analysis:
 	// configuration bits that provably cannot influence any observed output
 	// are tallied as benign without touching the board. The analysis is
@@ -59,15 +56,14 @@ type Options struct {
 	// so reports are byte-identical to triage-off runs; only WallTime and
 	// the TriageSkipped tally differ.
 	Triage bool
-	// FastSim enables lock-step convergence early exit: once the repaired
-	// DUT is provably state-identical to the golden device
-	// (board.SLAAC1V.Locked), the remaining clean-run and persistence cycles
-	// are credited as mismatch-free instead of simulated. Exact — reports
-	// are byte-identical to FastSim-off runs; only WallTime and the
-	// CyclesSimulated/CyclesSkipped diagnostics differ. Designs with
-	// history-coupled state (SRL16, writable BRAM, stuck overlays) disable
-	// the early exit automatically, since skipping cycles there would change
-	// the state later injections observe.
+	// FastSim lets vector lanes take lock-step convergence credit: once a
+	// repaired lane is provably state-identical to its golden lane
+	// (board.VectorBoard.LockedWord), the remaining clean-run and
+	// persistence cycles are credited as mismatch-free instead of simulated.
+	// Exact — reports are byte-identical to FastSim-off runs; only WallTime
+	// and the CyclesSimulated/CyclesSkipped diagnostics differ. The scalar
+	// path (the sweep oracle, fully scalar entries, history-coupled designs)
+	// simulates every cycle whatever FastSim says.
 	FastSim bool
 	// Kernel selects the production path (KernelVector, the zero value) or
 	// the reference oracle (KernelSweep). Both produce byte-identical
@@ -125,7 +121,6 @@ func DefaultOptions() Options {
 		CleanRun:            8,
 		Sample:              1.0,
 		ClassifyPersistence: true,
-		CollectBits:         true,
 		Triage:              true,
 		FastSim:             true,
 	}
@@ -167,9 +162,10 @@ type Report struct {
 	TriageSkipped int64
 
 	// CyclesSimulated counts board clocks actually stepped; CyclesSkipped
-	// counts clocks credited by the lock-step convergence early exit without
-	// simulation. Diagnostics only — like WallTime they vary with FastSim
-	// while every report-visible result stays identical.
+	// counts clocks the vector lanes credited by lock-step convergence
+	// without simulation. Diagnostics only — like WallTime they vary with
+	// FastSim and lane batching while every report-visible result stays
+	// identical.
 	CyclesSimulated int64
 	CyclesSkipped   int64
 
@@ -306,11 +302,7 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 	// accounted by the campaign's per-iteration loop time).
 	bd.DUT.InjectBit(a)
 
-	// Observe while the clock runs. No convergence check here: until the
-	// repair below, the DUT's configuration differs from golden by at least
-	// the injected bit, so (for the non-history-coupled designs the early
-	// exit is enabled for) lock is impossible and checking would be pure
-	// per-step overhead.
+	// Observe while the clock runs.
 	for i := 0; i < opts.ObserveCycles; i++ {
 		if !bd.Step() {
 			ob.failed = true
@@ -367,7 +359,7 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 // last golden verification. seed is the injection's stimulus seed
 // (precomputed by the pre-plan on the vector path, derived on the fly by
 // the scalar loop).
-func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, cr *ChunkResult, fs *frameScrub, fast bool) error {
+func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, cr *ChunkResult, fs *frameScrub) error {
 	ob, err := observeAndRepair(bd, golden, a, seed, opts, fs)
 	startCycle := bd.Cycle() - ob.steps
 	defer func() { cr.CyclesSimulated += bd.Cycle() - startCycle }()
@@ -381,13 +373,6 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 		// follow; otherwise this bit was sensitive after all.
 		clean := 0
 		for clean < opts.CleanRun {
-			if fast && bd.Locked() {
-				// Provably in lock-step forever: the remaining clean cycles
-				// are guaranteed matches.
-				cr.CyclesSkipped += int64(opts.CleanRun - clean)
-				clean = opts.CleanRun
-				break
-			}
 			if bd.Step() {
 				clean++
 			} else {
@@ -415,15 +400,6 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 		// narrow outputs) is not mistaken for recovery.
 		clean := 0
 		for i := 0; i < opts.PersistWindow; i++ {
-			if fast && bd.Locked() {
-				// Every remaining cycle is a guaranteed match, extending the
-				// current clean streak to the end of the window — exactly
-				// what simulating them would produce.
-				remaining := opts.PersistWindow - i
-				cr.CyclesSkipped += int64(remaining)
-				clean += remaining
-				break
-			}
 			if bd.Step() {
 				clean++
 			} else {
@@ -435,12 +411,10 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 			cr.Persistent++
 		}
 	}
-	if opts.CollectBits {
-		cr.Bits = append(cr.Bits, BitRecord{
-			Addr: a, Kind: kind, Persistent: persistent,
-			FirstErrorCycle: firstErr, FailedOutputs: failedOutputs,
-		})
-	}
+	cr.Bits = append(cr.Bits, BitRecord{
+		Addr: a, Kind: kind, Persistent: persistent,
+		FirstErrorCycle: firstErr, FailedOutputs: failedOutputs,
+	})
 
 	// Reset both designs to re-synchronize (Fig. 8's "reset designs").
 	bd.ResetBoth()

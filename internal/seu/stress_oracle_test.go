@@ -51,7 +51,6 @@ func TestBRAMStressMatchesOracle(t *testing.T) {
 			opts.Sample = 0.005
 			opts.Seed = seed
 			opts.Workers = 1
-			opts.CollectBits = true
 			run := func(opts seu.Options) *seu.Report {
 				bd, err := board.New(d.Placed, seed)
 				if err != nil {
@@ -90,7 +89,6 @@ func TestBRAMContentFramesMatchOracle(t *testing.T) {
 	opts := seu.DefaultOptions()
 	opts.Sample = 1
 	opts.Workers = 1
-	opts.CollectBits = true
 	run := func(opts seu.Options) *seu.ChunkResult {
 		bd, err := board.New(d.Placed, 1)
 		if err != nil {

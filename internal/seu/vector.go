@@ -190,12 +190,10 @@ func (vr *vectorRunner) enqueueCarry(bd *board.SLAAC1V, golden *bitstream.Memory
 				cr.Persistent++
 			}
 		}
-		if opts.CollectBits {
-			cr.Bits = append(cr.Bits, BitRecord{
-				Addr: e.addr, Kind: e.kind, Persistent: persistent,
-				FirstErrorCycle: ob.firstErr, FailedOutputs: ob.failedOutputs,
-			})
-		}
+		cr.Bits = append(cr.Bits, BitRecord{
+			Addr: e.addr, Kind: e.kind, Persistent: persistent,
+			FirstErrorCycle: ob.firstErr, FailedOutputs: ob.failedOutputs,
+		})
 		return nil
 	}
 	var g, d *fpga.VectorSnapshot
@@ -236,20 +234,21 @@ func (vr *vectorRunner) pop() *pendingLane {
 }
 
 // flush runs every queued entry to retirement and folds the outcomes into
-// cr. fast gates the per-lane lock-step early exit, exactly like the
-// scalar path (CyclesSkipped stays 0 when FastSim is off).
-func (vr *vectorRunner) flush(opts Options, cr *ChunkResult, fast bool) {
+// cr. opts.FastSim gates the per-lane lock-step early exit (CyclesSkipped
+// stays 0 when it is off). Lanes run only designs that are not
+// history-coupled, so no live state outlasts a campaign reset.
+func (vr *vectorRunner) flush(opts Options, cr *ChunkResult) {
 	if vr.pending() == 0 {
 		return
 	}
 	pprof.Do(context.Background(), labelsSimulate, func(context.Context) {
-		vr.runQueue(opts, fast)
+		vr.runQueue(opts)
 	})
 	rounds, drains := vr.vb.TakeKernelStats()
 	vectorSweepsSettled.Add(rounds)
 	vectorWorklistDrains.Add(drains)
 	pprof.Do(context.Background(), labelsEmit, func(context.Context) {
-		emitBatch(vr.done, opts, cr)
+		emitBatch(vr.done, cr)
 	})
 	var skipped int64
 	for i := range vr.done {
@@ -349,18 +348,18 @@ func (vr *vectorRunner) doRefill() {
 // runQueue drives every queued entry to retirement: generations of up to 64
 // lanes, with retired lanes refilled from the queue mid-generation (refill
 // amortizes its masked canonical copy over refillThreshold lanes).
-func (vr *vectorRunner) runQueue(opts Options, fast bool) {
-	// The lock-step check covers only the live lanes past their repair —
-	// the only phases where the scalar path consults Locked. Overlay lanes
-	// start in observation (overlay active, lock impossible); carried lanes
-	// enter directly in a post-repair phase.
+func (vr *vectorRunner) runQueue(opts Options) {
+	// The lock-step check covers only the live lanes past their repair, the
+	// only phases in which lock is possible. Overlay lanes start in
+	// observation (overlay active, lock impossible); carried lanes enter
+	// directly in a post-repair phase.
 	for vr.pending() > 0 || vr.liveMask != 0 {
 		if vr.liveMask == 0 {
 			vr.startGeneration()
 		} else if vr.pending() > 0 && bits.OnesCount64(^vr.liveMask) >= refillThreshold {
 			vr.doRefill()
 		}
-		if lock := vr.lockMask & vr.liveMask; fast && lock != 0 {
+		if lock := vr.lockMask & vr.liveMask; opts.FastSim && lock != 0 {
 			for rest := vr.vb.LockedWord(lock); rest != 0; rest &= rest - 1 {
 				i := bits.TrailingZeros64(rest)
 				ln := &vr.lanes[i]
@@ -456,7 +455,7 @@ func (vr *vectorRunner) finishFailed(ln *laneRun, opts Options) {
 // the invariant that keeps vector reports byte-identical to scalar ones
 // (per-kind maps, persistence tallies, and SensitiveBits all accumulate
 // in the same order injectOne would have produced).
-func emitBatch(lanes []laneRun, opts Options, cr *ChunkResult) {
+func emitBatch(lanes []laneRun, cr *ChunkResult) {
 	sort.SliceStable(lanes, func(i, j int) bool { return lanes[i].addr < lanes[j].addr })
 	for i := range lanes {
 		ln := &lanes[i]
@@ -470,11 +469,9 @@ func emitBatch(lanes []laneRun, opts Options, cr *ChunkResult) {
 		if ln.persistent {
 			cr.Persistent++
 		}
-		if opts.CollectBits {
-			cr.Bits = append(cr.Bits, BitRecord{
-				Addr: ln.addr, Kind: ln.kind, Persistent: ln.persistent,
-				FirstErrorCycle: ln.firstErr, FailedOutputs: ln.failedOutputs,
-			})
-		}
+		cr.Bits = append(cr.Bits, BitRecord{
+			Addr: ln.addr, Kind: ln.kind, Persistent: ln.persistent,
+			FirstErrorCycle: ln.firstErr, FailedOutputs: ln.failedOutputs,
+		})
 	}
 }

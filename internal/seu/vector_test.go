@@ -133,7 +133,6 @@ func TestVectorKernelWorkerIndependence(t *testing.T) {
 // fold must not depend on it. Shuffling the lane slice before emitBatch must
 // produce an identical accumulator, including the order of collected bits.
 func TestEmitBatchOrderIndependent(t *testing.T) {
-	opts := DefaultOptions()
 	mkLanes := func() []laneRun {
 		return []laneRun{
 			{addr: 900, kind: device.KindLUT, failed: true, firstErr: 3, failedOutputs: []int{0, 2}, persistent: true, cycles: 51, skipped: 4},
@@ -144,14 +143,14 @@ func TestEmitBatchOrderIndependent(t *testing.T) {
 		}
 	}
 	ref := newChunkResult(0)
-	emitBatch(mkLanes(), opts, ref)
+	emitBatch(mkLanes(), ref)
 
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		lanes := mkLanes()
 		rng.Shuffle(len(lanes), func(i, j int) { lanes[i], lanes[j] = lanes[j], lanes[i] })
 		acc := newChunkResult(0)
-		emitBatch(lanes, opts, acc)
+		emitBatch(lanes, acc)
 		if acc.Failures != ref.Failures || acc.Persistent != ref.Persistent ||
 			acc.CyclesSimulated != ref.CyclesSimulated || acc.CyclesSkipped != ref.CyclesSkipped {
 			t.Fatalf("trial %d: tallies differ after shuffle", trial)
