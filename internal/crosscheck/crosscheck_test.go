@@ -26,12 +26,11 @@ func TestConformanceSlice(t *testing.T) {
 }
 
 // TestDemotedLaneStress sweeps the demoted-lane stress set — designs built
-// so that sampled injections concentrate on the vector kernel's windowable
-// demotions (LUT-mode flips creating live SRL16s), its BRAM word overlays
-// (content behind a read-only port) and its fully scalar residue (mapped
-// BRAM port fields) — over the complete 6-point lattice. Every point must
-// produce a byte-identical report; a divergence here is a carry-lane or
-// BRAM-overlay exactness bug.
+// so that sampled injections concentrate on the vector kernel's carries
+// (LUT-mode flips creating live SRL16s, mapped BRAM port fields) and its
+// BRAM word overlays (content behind a read-only port) — over the complete
+// 6-point lattice. Every point must produce a byte-identical report; a
+// divergence here is a carry-lane or BRAM-overlay exactness bug.
 func TestDemotedLaneStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress sweep is not short")

@@ -70,14 +70,14 @@ func Generate(g device.Geometry, baseSeed int64, i int) (Design, error) {
 }
 
 // StressDesigns returns the demoted-lane stress set: seeded vector-eligible
-// designs that maximize the traffic the vector kernel must demote, carry or
-// overlay — LUT-mode bit flips that turn live LUTs into active SRL16s (the
-// windowable demotion riding lanes for its clean/persist windows) and BRAM
-// content/port bits behind a statically read-only port (content flips ride
-// lanes as word overlays, mapped port-field flips stay fully scalar, and
-// unmapped slots retire in the planner). Unlike the suite's rotating raw
-// designs, none of these is history-coupled, so the vector kernel engages
-// rather than falling back wholesale.
+// designs that maximize the traffic the vector kernel must carry or
+// overlay — LUT-mode bit flips that turn live LUTs into active SRL16s (a
+// carry riding lanes for its clean/persist windows) and BRAM content/port
+// bits behind a statically read-only port (content flips ride lanes as word
+// overlays, mapped port-field flips ride them as carries after a scalar
+// observe phase, and unmapped slots retire in the planner). Unlike the
+// suite's rotating raw designs, none of these is history-coupled, so the
+// vector kernel engages rather than falling back wholesale.
 func StressDesigns(g device.Geometry, seed int64) ([]Design, error) {
 	type gen struct {
 		tag   string
@@ -152,7 +152,7 @@ func stressCells(b *fpga.ConfigBuilder, rng *rand.Rand, rLo, rHi, cols int,
 // no-WE port keeps the design outside the history-coupled rule), three
 // address bits on registered toggles, full seeded content, and two dout
 // bits observed on column long lines. Content-bit flips become lane word
-// overlays; port-field flips exercise the fully scalar residue.
+// overlays; port-field flips exercise the carry path.
 func stressROBRAM(b *fpga.ConfigBuilder, rng *rand.Rand, g device.Geometry, blk int,
 	addSite func(r, c, o int, reg bool)) []device.NetRef {
 	rb := g.BRAMRowBase(blk)

@@ -36,10 +36,11 @@ import (
 //
 // Configurations a per-lane overlay cannot represent exactly — SRL16 shift
 // registers, writable BRAM, stuck-at overlays, LUT-mode flips, mapped BRAM
-// port fields — are never given a lane: PlanVectorDelta demotes those bits
-// to the scalar path. LUT-mode flips, whose post-repair configuration is
-// provably golden (DemotedWindowable), still ride lanes for their
-// clean-run/persistence windows via ScatterLane.
+// port fields — are never given an overlay: PlanVectorDelta demotes those
+// bits to a scalar observe phase. The repair restores the golden
+// configuration of the injected bit's whole column, so the demoted flips
+// of a lane-eligible design (LUT-mode bits, BRAM port fields) still ride
+// lanes for their clean-run/persistence windows via ScatterLane.
 
 // vectorDeltaKind enumerates the behavioural effects a single configuration
 // bit flip can have relative to the golden decode.
@@ -85,14 +86,17 @@ type VectorDelta struct {
 func (d VectorDelta) Inert() bool { return d.kind == vdNone }
 
 // PlanVectorDelta translates a configuration-bit flip into its lane
-// overlay. ok=false demotes the bit to the scalar path: the flip creates
-// state the lane machinery does not model (an SRL16 whose truth table
-// shifts, a changed BRAM port binding). A BRAM content bit that holds a
-// word bit becomes a word overlay; content and port slots that hold no
-// word bit or port field are decode-identical, like FF init bits. The
-// caller is responsible for only planning against non-history-coupled
-// devices (no SRLs, no writable BRAM, no stuck overlay) whose decode is
-// golden.
+// overlay. ok=false demotes the bit to a scalar observe phase: the flip
+// creates state no overlay models (an SRL16 whose truth table shifts, a
+// changed BRAM port binding). The caller's repair then restores the
+// golden configuration of the bit's column — the SRL's truth-table
+// frames, the port fields and every content word a flipped write enable
+// stored — so only behavioural state outlives the observe phase. A BRAM
+// content bit that holds a word bit becomes a word overlay; content and
+// port slots that hold no word bit or port field are decode-identical,
+// like FF init bits. The caller is responsible for only planning against
+// non-history-coupled devices (no SRLs, no writable BRAM, no stuck
+// overlay) whose decode is golden.
 func (f *FPGA) PlanVectorDelta(a device.BitAddr, info device.BitInfo) (VectorDelta, bool) {
 	switch info.Kind {
 	case device.KindPad, device.KindExtra:
@@ -170,27 +174,6 @@ func (f *FPGA) PlanVectorDelta(a device.BitAddr, info device.BitInfo) (VectorDel
 		// shift register — history-coupled state the lanes cannot carry.
 		return VectorDelta{}, false
 	}
-}
-
-// DemotedWindowable reports whether a bit PlanVectorDelta demoted to the
-// scalar path still qualifies for lane-carried clean-run/persistence
-// windows: after the scalar observe phase, the single-frame repair plus
-// column scrub provably restore the golden configuration, so the surviving
-// divergence is pure behavioural state a lane can carry via ScatterLane.
-// Only LUT-mode flips qualify:
-//
-//   - LUT-mode flips: the transient SRL16 shifts only its own truth bits,
-//     which share the injected bit's CLB column — all inside the scrub
-//     window.
-//   - Mapped BRAM port flips stay fully scalar: a flipped port field
-//     rebinds the block's ports, and a flipped write enable stores content
-//     words; the observe phase of neither is a lane overlay.
-//   - SRL16 truth bits only demote on history-coupled designs, which never
-//     reach the vector path at all.
-//
-// BRAM content flips never demote: they ride lanes as word overlays.
-func (f *FPGA) DemotedWindowable(info device.BitInfo) bool {
-	return info.Kind == device.KindLUT && info.CB >= device.CBLUTModeBase
 }
 
 // VectorSnapshot is a full behavioural-state snapshot (nets, LUT outputs,

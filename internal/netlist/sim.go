@@ -146,6 +146,3 @@ func (s *Simulator) OutputBits(name string) ([]bool, error) {
 	}
 	return out, nil
 }
-
-// Signal returns the current value of a signal (diagnostics).
-func (s *Simulator) Signal(id SignalID) bool { return s.val[id] }

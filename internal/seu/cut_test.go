@@ -90,7 +90,7 @@ func TestCutChunksProperties(t *testing.T) {
 			}
 		}
 	}
-	v, c, s := planVector, planCarry, planScalar
+	v, c := planVector, planCarry
 	synthetic := []struct {
 		name string
 		plan *prePlan
@@ -98,9 +98,9 @@ func TestCutChunksProperties(t *testing.T) {
 		{"no entries", syntheticPlan(5000, nil, nil)},
 		{"empty campaign", syntheticPlan(0, nil, nil)},
 		{"one entry at 0", syntheticPlan(10, []device.BitAddr{0}, []planAct{v})},
-		{"one entry at the end", syntheticPlan(10, []device.BitAddr{9}, []planAct{s})},
+		{"one entry at the end", syntheticPlan(10, []device.BitAddr{9}, []planAct{c})},
 		{"both ends", syntheticPlan(10, []device.BitAddr{0, 9}, []planAct{v, v})},
-		{"every address", syntheticPlan(6, []device.BitAddr{0, 1, 2, 3, 4, 5}, []planAct{v, c, s, v, c, s})},
+		{"every address", syntheticPlan(6, []device.BitAddr{0, 1, 2, 3, 4, 5}, []planAct{v, c, c, v, v, c})},
 		{"one expensive entry", syntheticPlan(1000, []device.BitAddr{3, 4, 5, 500, 998, 999}, []planAct{v, v, v, c, v, v})},
 	}
 	for _, sp := range synthetic {

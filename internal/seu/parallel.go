@@ -140,7 +140,7 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := injectOne(bd, golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, cr, fs); err != nil {
+		if err := injectOne(bd, golden, a, info.Kind, opts, cr, fs); err != nil {
 			return err
 		}
 	}
@@ -176,11 +176,6 @@ func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.M
 			if err := vr.enqueueCarry(bd, golden, e, opts, cr, fs); err != nil {
 				return err
 			}
-		case planScalar:
-			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, cr, fs); err != nil {
-				return err
-			}
-			continue
 		}
 		if vr.shouldFlush() {
 			vr.flush(opts, cr)

@@ -33,11 +33,10 @@ type planAct uint8
 const (
 	// planVector: lane-eligible; delta holds the overlay.
 	planVector planAct = iota
-	// planCarry: scalar observe/repair, then lane-carried clean/persist
-	// windows (DemotedWindowable: LUT-mode flips).
+	// planCarry: every bit PlanVectorDelta demotes (LUT-mode flips, mapped
+	// BRAM port fields): scalar observe/repair, then lane-carried
+	// clean/persist windows.
 	planCarry
-	// planScalar: fully scalar (mapped BRAM port fields).
-	planScalar
 )
 
 // actCost is an entry's expected board time by disposition, in lane
@@ -45,10 +44,9 @@ const (
 // (chunks of 100-1000 consecutive entries, two passes, fitted by least
 // squares, time = Σ count × cost): a lane injection took 51 µs (LFSR 72,
 // xqvr1000), 55 µs (VMULT 72, xqvr1000) and 65 µs (the mix stress design,
-// small, sample 0.15); a carry 1.6, 1.1 and 2.1 ms; a fully scalar
-// injection 1.5 ms (mix). Only the ratios matter, and only roughly: they
-// place chunk edges, never results.
-var actCost = [...]int64{planVector: 1, planCarry: 25, planScalar: 20}
+// small, sample 0.15); a carry 1.6, 1.1 and 2.1 ms. Only the ratios
+// matter, and only roughly: they place chunk edges, never results.
+var actCost = [...]int64{planVector: 1, planCarry: 25}
 
 // planEntry is one selected bit's precomputed board work.
 type planEntry struct {
@@ -79,8 +77,8 @@ type planBlock struct {
 // workers and chunks.
 type prePlan struct {
 	comp *fpga.CompiledDesign
-	// entries holds the bits needing board work (planVector, planCarry,
-	// planScalar), strictly ascending by address.
+	// entries holds the bits needing board work (planVector, planCarry),
+	// strictly ascending by address.
 	entries []planEntry
 	// work is the entries' summed actCost.
 	work int64
@@ -216,10 +214,8 @@ func buildPrePlan(bd *board.SLAAC1V, opts Options, limit int64, tri *triage, com
 		case ok:
 			e.act = planVector
 			e.delta = d
-		case bd.Golden.DemotedWindowable(info):
-			e.act = planCarry
 		default:
-			e.act = planScalar
+			e.act = planCarry
 		}
 		p.entries = append(p.entries, e)
 		p.work += actCost[e.act]

@@ -116,7 +116,7 @@ func checkSparseEntries(t *testing.T, bd *board.SLAAC1V, plan *prePlan, tri *tri
 			t.Fatalf("bit %d: triage-inert bit holds a plan entry", e.addr)
 		case e.act == planVector && e.delta.Inert():
 			t.Fatalf("bit %d: planner-benign bit holds a plan entry", e.addr)
-		case e.act != planVector && e.act != planCarry && e.act != planScalar:
+		case e.act != planVector && e.act != planCarry:
 			t.Fatalf("bit %d: unknown disposition %d", e.addr, e.act)
 		}
 	}

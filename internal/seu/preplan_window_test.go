@@ -68,10 +68,8 @@ func walkPlanReference(bd *board.SLAAC1V, opts Options, limit int64, tri *triage
 			continue
 		case ok:
 			e.act, e.delta = planVector, d
-		case bd.Golden.DemotedWindowable(info):
-			e.act = planCarry
 		default:
-			e.act = planScalar
+			e.act = planCarry
 		}
 		ref.entries = append(ref.entries, e)
 	}

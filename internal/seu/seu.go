@@ -62,8 +62,8 @@ type Options struct {
 	// persistence cycles are credited as mismatch-free instead of simulated.
 	// Exact — reports are byte-identical to FastSim-off runs; only WallTime
 	// and the CyclesSimulated/CyclesSkipped diagnostics differ. The scalar
-	// path (the sweep oracle, fully scalar entries, history-coupled designs)
-	// simulates every cycle whatever FastSim says.
+	// path (the sweep oracle, history-coupled designs, a carry's observe
+	// phase) simulates every cycle whatever FastSim says.
 	FastSim bool
 	// Kernel selects the production path (KernelVector, the zero value) or
 	// the reference oracle (KernelSweep). Both produce byte-identical
@@ -79,10 +79,11 @@ const (
 	// the bit-parallel lane kernel — 64 fault universes per pass
 	// (internal/fpga/vector.go), settling through the event-driven worklist
 	// drain (fpga/vecevent.go), with retired lanes refilled mid-batch.
-	// Incompatible bits (SRL16 truth bits, mapped BRAM port fields, LUT-mode flips,
-	// history-coupled designs wholesale) are demoted to the scalar
-	// activity-driven kernel. Lane trajectories are exact images of the
-	// scalar sweep kernel, so reports stay byte-identical.
+	// Bits no overlay expresses (LUT-mode flips, mapped BRAM port fields)
+	// run their observe phase and repair on the scalar activity-driven
+	// kernel, then ride a lane for the rest; history-coupled designs run
+	// wholesale on the scalar kernel. Lane trajectories are exact images of
+	// the scalar sweep kernel, so reports stay byte-identical.
 	KernelVector Kernel = iota
 	// KernelSweep is the reference oracle: every injection runs on the
 	// scalar full-sweep kernel.
@@ -284,9 +285,9 @@ type observeOutcome struct {
 
 // observeAndRepair runs the front half of one injection iteration: reset to
 // canonical state, corrupt, observe under clock, repair by frame write-back
-// plus column scrub. It is shared between the fully scalar injectOne and
-// the carry path, which hands the repaired board's state to a vector lane
-// for the remaining windows.
+// plus column scrub. It is shared between the scalar injectOne and the
+// carry path, which hands the repaired board's state to a vector lane for
+// the remaining windows.
 func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, seed int64, opts Options, fs *frameScrub) (observeOutcome, error) {
 	g := bd.Geometry()
 	// Canonical pre-injection state: stimulus seeded by (Seed, address),
@@ -328,10 +329,11 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 	// The spread is confined to the injected bit's column: an SRL shifts
 	// only its own truth-table frames, and a corrupted BRAM port (a flipped
 	// write enable, say) writes only its own block's content frames.
-	// Residual divergence anywhere else is caught by the clean-run check
-	// and the full-reconfiguration fallback of the caller. Frames whose
-	// generation counter hasn't moved since they were last verified golden
-	// are provably untouched and skip even the compare.
+	// Residual divergence anywhere else would show in the clean-run check
+	// (and, on the scalar path, trip injectOne's full-reconfiguration
+	// fallback). Frames whose generation counter hasn't moved since they
+	// were last verified golden are provably untouched and skip even the
+	// compare.
 	colBase, colFrames := 0, 0 // extra frames configure nothing
 	switch bf := frame - g.CLBFrames(); {
 	case bf < 0:
@@ -356,11 +358,11 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 // injectOne performs one corrupt/observe/repair/classify iteration. fs is
 // the board replica's dirty-frame tracker: it persists across injections so
 // the repair scrub only re-verifies frames actually touched since their
-// last golden verification. seed is the injection's stimulus seed
-// (precomputed by the pre-plan on the vector path, derived on the fly by
-// the scalar loop).
-func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, cr *ChunkResult, fs *frameScrub) error {
-	ob, err := observeAndRepair(bd, golden, a, seed, opts, fs)
+// last golden verification. Its only caller is the scalar loop runRange,
+// which serves the sweep oracle and designs with history-coupled state; the
+// vector path runs demoted bits as carries (enqueueCarry).
+func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, opts Options, cr *ChunkResult, fs *frameScrub) error {
+	ob, err := observeAndRepair(bd, golden, a, stimulusSeed(opts.Seed, a), opts, fs)
 	startCycle := bd.Cycle() - ob.steps
 	defer func() { cr.CyclesSimulated += bd.Cycle() - startCycle }()
 	if err != nil {

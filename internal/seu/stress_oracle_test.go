@@ -144,3 +144,64 @@ func TestRepairRestoresBRAMColumn(t *testing.T) {
 		}
 	}
 }
+
+// TestBRAMPortCarriesMatchOracle injects every port field of both blocks of
+// the BRAM column, one address per chunk, on the bram and mix stress
+// designs. The production path runs each mapped port flip's observe phase
+// and repair on the scalar board and its clean-run and persistence windows
+// on a lane; its chunk results must equal the whole oracle's, and the lanes
+// must have taken convergence credit — proof that the port flips rode them.
+// Limiting the production path's repair to the injected frame fails this
+// test: a flipped write enable's stored words then outlive the repair, and
+// a later injection on the same board runs on corrupted content.
+func TestBRAMPortCarriesMatchOracle(t *testing.T) {
+	g := device.Small()
+	for _, seed := range []int64{1, 7} {
+		for _, d := range bramStress(t, g, seed) {
+			opts := seu.DefaultOptions()
+			opts.Seed = seed
+			opts.Workers = 1
+			runner := func(opts seu.Options) *seu.ChunkRunner {
+				bd, err := board.New(d.Placed, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := seu.NewChunkRunner(bd, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			vec, orc := runner(opts), runner(oracleOpts(opts))
+			var skipped, failures, persistent int64
+			for blk := 0; blk < g.BRAMBlocksPerCol(); blk++ {
+				for k := 0; k < device.BRAMPortBits; k++ {
+					a := int64(g.BRAMPortBitAddr(0, blk, k))
+					spec := seu.ChunkSpec{Lo: a, Hi: a + 1}
+					got, err := vec.Run(context.Background(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := orc.Run(context.Background(), spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					skipped += got.CyclesSkipped
+					failures += want.Failures
+					persistent += want.Persistent
+					got.TriageSkipped, got.CyclesSimulated, got.CyclesSkipped = 0, 0, 0
+					want.TriageSkipped, want.CyclesSimulated, want.CyclesSkipped = 0, 0, 0
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("%s seed %d: port bit %d of block %d (address %d) differs from the oracle:\n got %+v\nwant %+v",
+							d.Name, seed, k, blk, a, got, want)
+					}
+				}
+			}
+			if failures == 0 || skipped == 0 {
+				t.Errorf("%s seed %d: %d port failures, %d cycles credited: want a failing port flip and lane convergence credit",
+					d.Name, seed, failures, skipped)
+			}
+			t.Logf("%s seed %d: %d port failures (%d persistent), %d cycles skipped", d.Name, seed, failures, persistent, skipped)
+		}
+	}
+}

@@ -101,7 +101,7 @@ func TestTriageSkippedBitsAreBenign(t *testing.T) {
 	acc := newChunkResult(0)
 	fs := newFrameScrub(g)
 	for _, a := range inert {
-		if err := injectOne(bd, golden, a, g.Classify(a).Kind, stimulusSeed(opts.Seed, a), opts, acc, fs); err != nil {
+		if err := injectOne(bd, golden, a, g.Classify(a).Kind, opts, acc, fs); err != nil {
 			t.Fatalf("bit %d: %v", a, err)
 		}
 		if acc.Failures != 0 {

@@ -25,14 +25,13 @@ import (
 // records.
 //
 // BRAM content flips are overlays like any other: a lane's read XORs the
-// flipped bit into the word it addresses. Bits the planner demotes fall in
-// two classes. Windowable demotions (LUT-mode flips, which make a live
-// SRL16 — DemotedWindowable) run their corrupt/observe/repair prefix on the
-// scalar board, then ride a lane for the clean-run and persistence windows:
-// the configuration is provably golden after repair plus column scrub, so
-// the lane only needs to carry the behavioural state (ScatterLane) and
+// flipped bit into the word it addresses. Every bit the planner demotes
+// (LUT-mode flips, which make a live SRL16; mapped BRAM port fields) is a
+// carry: it runs its corrupt/observe/repair prefix on the scalar board,
+// then rides a lane for the clean-run and persistence windows. The
+// configuration is provably golden after repair plus column scrub, so the
+// lane only needs to carry the behavioural state (ScatterLane) and
 // fast-forward its stimulus stream past the scalar prefix (SkipLane).
-// Everything else (mapped BRAM port fields) stays fully scalar.
 //
 // Lanes are mutually independent — every lane word operation is bitwise,
 // and overlays are per-lane — so batch composition (which varies with chunk
@@ -160,18 +159,26 @@ func (vr *vectorRunner) enqueueVector(e *planEntry) {
 	vr.queue = append(vr.queue, pendingLane{addr: e.addr, kind: e.kind, delta: e.delta, seed: e.seed})
 }
 
-// enqueueCarry runs the scalar corrupt/observe/repair prefix of a
-// windowable demoted injection (a LUT-mode flip) on bd, then either retires
-// it inline (it failed and no persistence window follows) or parks its
-// post-repair state in a lane slot to ride the next batch's
-// clean-run/persistence windows.
+// enqueueCarry runs the scalar corrupt/observe/repair prefix of a demoted
+// injection on bd, then either retires it inline (it failed and no
+// persistence window follows) or parks its post-repair state in a lane slot
+// to ride the next batch's clean-run/persistence windows.
 //
-// Skipping the scalar path's ResetBoth/re-sync fallback is exact for
-// LUT-mode flips: after the injected-frame write-back and column scrub the
-// configuration is provably golden (the transient SRL shifts only its own
-// truth-table frames, in-column), so a reset pair always re-matches and the
-// full-reconfiguration fallback can never fire — and the next injection's
-// ResetCampaignState clears the user state anyway.
+// Handing the rest to a lane is exact for every demoted bit:
+//
+//   - observeAndRepair rewrites every differing frame of the injected bit's
+//     column. For a LUT-mode flip that covers the transient SRL's
+//     truth-table frames; for a BRAM port field it restores the port fields
+//     and every content word a flipped write enable stored.
+//   - Lanes only run designs with no writable BRAM, so once the content
+//     frames are golden no block holds a word the golden design lacks.
+//   - What is left is behavioural state (nets, LUTs, FFs, BRAM output
+//     registers), which CaptureVectorSnapshotInto and ScatterLane carry.
+//
+// Skipping the scalar path's ResetBoth/re-sync fallback is exact for the
+// same reason: with the configuration golden, a reset pair always
+// re-matches and the full-reconfiguration fallback can never fire — and
+// the next injection's ResetCampaignState clears the user state anyway.
 func (vr *vectorRunner) enqueueCarry(bd *board.SLAAC1V, golden *bitstream.Memory, e *planEntry, opts Options, cr *ChunkResult, fs *frameScrub) error {
 	ob, err := observeAndRepair(bd, golden, e.addr, e.seed, opts, fs)
 	cr.CyclesSimulated += ob.steps

@@ -17,7 +17,8 @@ import (
 // sweep at different pre-plan entries, so lane batches, carry flushes and
 // edge rescans all move. Covered are a full-device catalogue sweep (the
 // sample CI's full-device step compares with cmp) and the mix stress
-// design, whose vector, carried and fully scalar entries share chunks.
+// design, whose vector and carried (LUT-mode and BRAM-port) entries share
+// chunks.
 func TestRunContextReportBytesAcrossWorkers(t *testing.T) {
 	lfsr, err := designs.ByName("LFSR 72")
 	if err != nil {
